@@ -21,6 +21,15 @@ echo "== cargo test (SEFI_KERNELS=naive) =="
 # determinism bug, not flakiness.
 SEFI_KERNELS=naive cargo test --workspace -q
 
+echo "== repo benchmark tests =="
+# The benchmark is a package of its own (benchmark/Cargo.toml, outside the
+# workspace), so the runs above never build it. Its smoke test runs every
+# workload at smoke scale, traced and untraced; the traced trial body
+# builds each session with Session::new and must reproduce the outcome
+# digest of the untraced Prebaked::try_resume path, which clones a
+# template session instead.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== kernel-mode campaign invariance =="
 # The same smoke campaign under the simd and naive kernel generations
 # must emit byte-identical tables — kernels are a speedup, never a

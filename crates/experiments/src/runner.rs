@@ -428,6 +428,7 @@ pub struct Prebaked {
     baselines: KeyedOnce<ModelKind, StateDict>,
     baseline_curves: KeyedOnce<(ModelKind, Dtype, usize), Vec<EpochRecord>>,
     checkpoints: KeyedOnce<(FrameworkKind, ModelKind, Dtype), Arc<H5File>>,
+    templates: KeyedOnce<(FrameworkKind, ModelKind), Session>,
     campaign: Option<Campaign>,
 }
 
@@ -441,6 +442,7 @@ impl Prebaked {
             baselines: Mutex::new(HashMap::new()),
             baseline_curves: Mutex::new(HashMap::new()),
             checkpoints: Mutex::new(HashMap::new()),
+            templates: Mutex::new(HashMap::new()),
             campaign: None,
         }
     }
@@ -826,14 +828,22 @@ impl Prebaked {
         Some(sd)
     }
 
+    /// A session exactly as `Session::new` builds it for this campaign,
+    /// cloned from a template built once per `(fw, model)`. Trials restore
+    /// over every weight the initialization draws, so drawing it again per
+    /// trial would be wasted work.
     fn fresh_session(&self, fw: FrameworkKind, model: ModelKind) -> Session {
-        let mut cfg = SessionConfig::new(fw, model, CAMPAIGN_SEED);
-        cfg.model_config = self.budget.model_config();
-        // Batch size 8: small batches give the deep, narrow scaled models
-        // (especially VGG16, which has no batch norm) enough update steps
-        // per epoch to converge within the budgeted epoch counts.
-        cfg.train.batch_size = 8.min(self.budget.train_images.max(1));
-        Session::new(cfg)
+        let slot = entry_slot(&self.templates, &(fw, model));
+        slot.get_or_init(|| {
+            let mut cfg = SessionConfig::new(fw, model, CAMPAIGN_SEED);
+            cfg.model_config = self.budget.model_config();
+            // Batch size 8: small batches give the deep, narrow scaled models
+            // (especially VGG16, which has no batch norm) enough update steps
+            // per epoch to converge within the budgeted epoch counts.
+            cfg.train.batch_size = 8.min(self.budget.train_images.max(1));
+            Session::new(cfg)
+        })
+        .clone()
     }
 
     /// A session positioned at the restart epoch with the pretrained
@@ -905,10 +915,22 @@ impl Prebaked {
         file: &H5File,
         epochs: usize,
     ) -> Result<sefi_nn::TrainOutcome, TrialError> {
+        self.resume_session(fw, model, file, epochs).map(|(_, outcome)| outcome)
+    }
+
+    /// [`Prebaked::try_resume`], keeping the resumed session.
+    fn resume_session(
+        &self,
+        fw: FrameworkKind,
+        model: ModelKind,
+        file: &H5File,
+        epochs: usize,
+    ) -> Result<(Session, sefi_nn::TrainOutcome), TrialError> {
         let mut session = self.fresh_session(fw, model);
         session.restore(file).map_err(|e| TrialError::new(format!("restore failed: {e}")))?;
         let target = session.epoch() + epochs;
-        Ok(session.train_to(&self.data, target))
+        let outcome = session.train_to(&self.data, target);
+        Ok((session, outcome))
     }
 
     /// The deterministic error-free resumed trajectory for (model, dtype):
@@ -1346,5 +1368,38 @@ mod tests {
             pre.budget().resume_epochs,
         );
         assert_eq!(out.final_accuracy().unwrap(), a);
+    }
+
+    #[test]
+    fn template_clones_resume_exactly_like_fresh_sessions() {
+        use sefi_core::{Corrupter, CorrupterConfig};
+        use sefi_float::Precision;
+        let pre = Prebaked::new(Budget::smoke());
+        let fw = FrameworkKind::Chainer;
+        let epochs = pre.budget().resume_epochs;
+        for model in ModelKind::all() {
+            let mut ck = pre.checkpoint(fw, model, Dtype::F64);
+            let flips = CorrupterConfig::bit_flips(4, Precision::Fp64, 11);
+            Corrupter::new(flips).unwrap().corrupt(&mut ck).unwrap();
+            let (mut resumed, outcome) = pre.resume_session(fw, model, &ck, epochs).unwrap();
+            let config = resumed.config().clone();
+            let mut reference = Session::new(config.clone());
+            reference.restore(&ck).unwrap();
+            let target = reference.epoch() + epochs;
+            assert_eq!(outcome, reference.train_to(pre.data(), target), "{model:?}: history");
+            assert_eq!(
+                resumed.checkpoint(Dtype::F64).to_bytes(),
+                reference.checkpoint(Dtype::F64).to_bytes(),
+                "{model:?}: final checkpoint"
+            );
+            // Training that clone left the template as `Session::new` built it.
+            let mut next = pre.fresh_session(fw, model);
+            assert_eq!(next.epoch(), 0);
+            assert_eq!(
+                next.checkpoint(Dtype::F64).to_bytes(),
+                Session::new(config).checkpoint(Dtype::F64).to_bytes(),
+                "{model:?}: template"
+            );
+        }
     }
 }

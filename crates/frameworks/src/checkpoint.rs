@@ -4,6 +4,7 @@ use crate::kind::FrameworkKind;
 use crate::mapping::{engine_to_file_path, tensor_from_file_layout, tensor_to_file_layout};
 use sefi_hdf5::{Attr, Dataset, Dtype, EccSidecar, H5File, LoadPolicy};
 use sefi_nn::Network;
+use std::borrow::Borrow;
 
 /// Serialize a network into this framework's checkpoint layout at the given
 /// storage dtype (the paper's 16/32/64-bit precision studies select this).
@@ -113,32 +114,8 @@ fn load_into(
             return Err(format!("checkpoint was written by {stored_fw:?}, not {:?}", fw.id()));
         }
     }
-    let sd = net.state_dict();
-    let mut new_sd = sefi_nn::StateDict::new();
-    for entry in sd.entries() {
-        let path = engine_to_file_path(fw, &entry.path);
-        match file.dataset(&path) {
-            Ok(ds) => {
-                if ds.len() != entry.tensor.len() {
-                    return Err(format!(
-                        "tensor {path:?} has {} entries, network expects {}",
-                        ds.len(),
-                        entry.tensor.len()
-                    ));
-                }
-                let stored = ds.to_f32_vec();
-                let t = tensor_from_file_layout(fw, &entry.path, entry.tensor.shape(), &stored);
-                new_sd.push(entry.path.clone(), t, entry.trainable);
-            }
-            // A quarantined dataset is deliberately absent: keep the
-            // network's current tensor instead of failing the load.
-            Err(_) if quarantined.contains(&path) => {
-                new_sd.push(entry.path.clone(), entry.tensor.clone(), entry.trainable);
-            }
-            Err(e) => return Err(format!("loading {:?}: {e}", entry.path)),
-        }
-    }
-    net.load_state_dict(&new_sd)?;
+    // The epoch is read before any tensor is written, so a load that
+    // fails on it leaves the network as it was.
     let epoch_path = fw.epoch_path();
     let epoch = match file.dataset(epoch_path) {
         Ok(ds) => ds.get_i64(0).map_err(|e| format!("reading epoch: {e}"))?,
@@ -149,7 +126,55 @@ fn load_into(
         }
         Err(e) => return Err(format!("reading epoch: {e}")),
     };
+    restore_in_place(fw, net, |engine_path, file_path| match file.dataset(file_path) {
+        Ok(ds) => Ok(Some(ds)),
+        // A quarantined dataset is deliberately absent: keep the
+        // network's current tensor instead of failing the load.
+        Err(_) if quarantined.iter().any(|p| p == file_path) => Ok(None),
+        Err(e) => Err(format!("loading {engine_path:?}: {e}")),
+    })?;
     Ok(epoch as usize)
+}
+
+/// Overwrite `net`'s tensors in place from stored datasets. `resolve` is
+/// called once per tensor, in state-dict order, with its engine and
+/// checkpoint paths, and returns the dataset to load, `None` to keep the
+/// tensor as it is, or an error. Every tensor is resolved and its length
+/// checked before the first write, so on `Err` the network is untouched.
+pub(crate) fn restore_in_place<D: Borrow<Dataset>>(
+    fw: FrameworkKind,
+    net: &mut Network,
+    mut resolve: impl FnMut(&str, &str) -> Result<Option<D>, String>,
+) -> Result<(), String> {
+    let mut sources = Vec::new();
+    let mut failure = None;
+    net.visit_tensors_mut(|engine_path, t, _| {
+        if failure.is_some() {
+            return;
+        }
+        let file_path = engine_to_file_path(fw, engine_path);
+        match resolve(engine_path, &file_path) {
+            Ok(Some(ds)) if ds.borrow().len() != t.len() => {
+                failure = Some(format!(
+                    "tensor {file_path:?} has {} entries, network expects {}",
+                    ds.borrow().len(),
+                    t.len()
+                ));
+            }
+            Ok(source) => sources.push(source),
+            Err(e) => failure = Some(e),
+        }
+    });
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let mut sources = sources.into_iter();
+    net.visit_tensors_mut(|engine_path, t, _| {
+        if let Some(ds) = sources.next().expect("one source per tensor") {
+            *t = tensor_from_file_layout(fw, engine_path, t.shape(), ds.borrow().to_f32_vec());
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -316,8 +341,11 @@ mod tests {
             pruned.create_dataset(p, ck.dataset(p).unwrap().clone()).unwrap();
         }
         ck = pruned;
-        let err = load_checkpoint(FrameworkKind::Chainer, &mut a, &ck).unwrap_err();
+        let mut b = other_net();
+        let before = b.state_dict();
+        let err = load_checkpoint(FrameworkKind::Chainer, &mut b, &ck).unwrap_err();
         assert!(err.contains("conv3"), "{err}");
+        assert_eq!(b.state_dict(), before, "a failed load must leave the network untouched");
     }
 
     #[test]
@@ -395,8 +423,10 @@ mod tests {
         let mut bytes = save_checkpoint(fw, &mut a, 20, Dtype::F32).to_bytes_v2();
         flip_in_section(&mut bytes, fw.epoch_path());
         let mut b = other_net();
+        let before = b.state_dict();
         let err = load_checkpoint_bytes(fw, &mut b, &bytes, LoadPolicy::Quarantine).unwrap_err();
         assert!(err.contains("quarantined"), "{err}");
+        assert_eq!(b.state_dict(), before, "a failed load must leave the network untouched");
         // ZeroFill substitutes a zeroed scalar: epoch 0, flagged as damage.
         let mut b = other_net();
         let load = load_checkpoint_bytes(fw, &mut b, &bytes, LoadPolicy::ZeroFill).unwrap();

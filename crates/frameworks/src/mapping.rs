@@ -130,15 +130,16 @@ pub fn tensor_to_file_layout(
 }
 
 /// Convert stored data back into the engine layout. `engine_shape` is the
-/// shape the network expects.
+/// shape the network expects; `stored` becomes the tensor's buffer when
+/// the layout needs no reordering.
 pub fn tensor_from_file_layout(
     fw: FrameworkKind,
     engine_path: &str,
     engine_shape: &[usize],
-    stored: &[f32],
+    stored: Vec<f32>,
 ) -> Tensor {
     if fw != FrameworkKind::TensorFlow || !is_kernel(engine_path) {
-        return Tensor::from_vec(stored.to_vec(), engine_shape);
+        return Tensor::from_vec(stored, engine_shape);
     }
     match engine_shape {
         [o, i, kh, kw] => {
@@ -250,7 +251,7 @@ mod tests {
         let (shape, data) = tensor_to_file_layout(FrameworkKind::TensorFlow, "conv1/W", &t);
         assert_eq!(shape, vec![2, 2, 3, 2]); // HWIO
         assert_ne!(data, t.data()); // actually permuted
-        let back = tensor_from_file_layout(FrameworkKind::TensorFlow, "conv1/W", t.shape(), &data);
+        let back = tensor_from_file_layout(FrameworkKind::TensorFlow, "conv1/W", t.shape(), data);
         assert_eq!(back, t);
     }
 
@@ -260,7 +261,7 @@ mod tests {
         let (shape, data) = tensor_to_file_layout(FrameworkKind::TensorFlow, "fc/W", &t);
         assert_eq!(shape, vec![3, 2]);
         assert_eq!(data, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        let back = tensor_from_file_layout(FrameworkKind::TensorFlow, "fc/W", &[2, 3], &data);
+        let back = tensor_from_file_layout(FrameworkKind::TensorFlow, "fc/W", &[2, 3], data);
         assert_eq!(back, t);
     }
 

@@ -11,12 +11,11 @@
 //! replica returns to service without a full model reload when the damage
 //! is localized.
 
-use crate::checkpoint::load_checkpoint;
+use crate::checkpoint::{load_checkpoint, restore_in_place};
 use crate::kind::FrameworkKind;
-use crate::mapping::{engine_to_file_path, tensor_from_file_layout};
 use sefi_hdf5::{EccSidecar, H5File, IndexedFile, SectionRecovery};
 use sefi_models::{build, ModelConfig, ModelKind};
-use sefi_nn::{Network, StateDict};
+use sefi_nn::Network;
 use sefi_rng::DetRng;
 use std::path::{Path, PathBuf};
 
@@ -93,18 +92,14 @@ impl Replica {
     /// the reload unit when a guard localizes a trip to a layer.
     pub fn layer_datasets(&mut self, engine_layer: &str) -> Vec<String> {
         let prefix = format!("{engine_layer}/");
-        self.net
-            .state_dict()
-            .entries()
-            .iter()
-            .filter(|e| e.path.starts_with(&prefix))
-            .map(|e| e.path.clone())
-            .collect()
+        self.all_datasets().into_iter().filter(|p| p.starts_with(&prefix)).collect()
     }
 
     /// All engine-side dataset paths, for a full reload.
     pub fn all_datasets(&mut self) -> Vec<String> {
-        self.net.state_dict().entries().iter().map(|e| e.path.clone()).collect()
+        let mut paths = Vec::new();
+        self.net.visit_tensors_mut(|path, _, _| paths.push(path.to_string()));
+        paths
     }
 
     /// Re-read the given engine-side datasets from the checkpoint file
@@ -122,30 +117,16 @@ impl Replica {
                 .map_err(|e| format!("attaching sidecar for {:?}: {e}", self.path))?;
         }
         let mut report = ReloadReport::default();
-        let sd = self.net.state_dict();
-        let mut new_sd = StateDict::new();
-        for entry in sd.entries() {
-            if !engine_paths.contains(&entry.path) {
-                new_sd.push(entry.path.clone(), entry.tensor.clone(), entry.trainable);
-                continue;
+        restore_in_place(self.fw, &mut self.net, |engine_path, file_path| {
+            if !engine_paths.iter().any(|p| p == engine_path) {
+                return Ok(None);
             }
-            let file_path = engine_to_file_path(self.fw, &entry.path);
             let (ds, recovery) = ixf
-                .dataset_correct_or_zero(&file_path)
-                .map_err(|e| format!("reloading {:?}: {e}", entry.path))?;
-            if ds.len() != entry.tensor.len() {
-                return Err(format!(
-                    "reloaded tensor {file_path:?} has {} entries, network expects {}",
-                    ds.len(),
-                    entry.tensor.len()
-                ));
-            }
+                .dataset_correct_or_zero(file_path)
+                .map_err(|e| format!("reloading {engine_path:?}: {e}"))?;
             report.absorb(recovery);
-            let stored = ds.to_f32_vec();
-            let t = tensor_from_file_layout(self.fw, &entry.path, entry.tensor.shape(), &stored);
-            new_sd.push(entry.path.clone(), t, entry.trainable);
-        }
-        self.net.load_state_dict(&new_sd)?;
+            Ok(Some(ds))
+        })?;
         Ok(report)
     }
 

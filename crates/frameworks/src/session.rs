@@ -47,6 +47,11 @@ impl SessionConfig {
 }
 
 /// A live training session.
+///
+/// `Clone` copies the weights, optimizer state and epoch (kernel scratch
+/// starts empty), so a clone of a fresh session is exactly what
+/// [`Session::new`] builds from the same config.
+#[derive(Clone)]
 pub struct Session {
     config: SessionConfig,
     net: Network,

@@ -32,7 +32,7 @@ proptest! {
         let t = Tensor::from_vec(data, &[o, i, k, k]);
         let (shape, stored) = tensor_to_file_layout(fw, "conv/W", &t);
         prop_assert_eq!(shape.iter().product::<usize>(), n);
-        let back = tensor_from_file_layout(fw, "conv/W", t.shape(), &stored);
+        let back = tensor_from_file_layout(fw, "conv/W", t.shape(), stored);
         prop_assert_eq!(back, t);
     }
 
@@ -46,7 +46,7 @@ proptest! {
         let data: Vec<f32> = (0..n).map(|j| j as f32 * 0.7 - 3.0).collect();
         let t = Tensor::from_vec(data, &[o, i]);
         let (_, stored) = tensor_to_file_layout(fw, "fc/W", &t);
-        let back = tensor_from_file_layout(fw, "fc/W", t.shape(), &stored);
+        let back = tensor_from_file_layout(fw, "fc/W", t.shape(), stored);
         prop_assert_eq!(back, t);
     }
 

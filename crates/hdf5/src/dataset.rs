@@ -412,8 +412,42 @@ impl Dataset {
     }
 
     /// All entries widened to `f32` (the frameworks' working precision).
+    ///
+    /// Decodes in bulk — one dtype dispatch per dataset, then one pass over
+    /// fixed-width chunks — with [`Dataset::get_f64`]'s per-element
+    /// conversion, so every result is bit-identical to `get_f64(i) as f32`.
     pub fn to_f32_vec(&self) -> Vec<f32> {
-        (0..self.len()).map(|i| self.get_f64(i).expect("in-bounds") as f32).collect()
+        fn widen<const W: usize>(bytes: &[u8], decode: impl Fn([u8; W]) -> f64) -> Vec<f32> {
+            bytes
+                .chunks_exact(W)
+                .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes")) as f32)
+                .collect()
+        }
+        // `x as f64` for an `f32` x, as the hardware widens it: exact, but a
+        // signalling NaN comes out quiet (payload kept). Spelled out because
+        // the compiler may fold the `as f64 as f32` pair away and keep the
+        // NaN signalling, which `get_f64(i) as f32` never does.
+        fn via_f64(x: f32) -> f64 {
+            if x.is_nan() {
+                f32::from_bits(x.to_bits() | 0x0040_0000) as f64
+            } else {
+                x as f64
+            }
+        }
+        let bytes = self.bytes();
+        let scale = self.scale as f64;
+        match self.dtype {
+            Dtype::F16 => widen(bytes, |b| via_f64(f16::from_bits(u16::from_le_bytes(b)).to_f32())),
+            Dtype::BF16 => {
+                widen(bytes, |b| via_f64(bf16::from_bits(u16::from_le_bytes(b)).to_f32()))
+            }
+            Dtype::F32 => widen(bytes, |b| via_f64(f32::from_le_bytes(b))),
+            Dtype::F64 => widen(bytes, f64::from_le_bytes),
+            Dtype::I32 => widen(bytes, |b| i32::from_le_bytes(b) as f64),
+            Dtype::I64 => widen(bytes, |b| i64::from_le_bytes(b) as f64),
+            Dtype::U8 => widen(bytes, |b: [u8; 1]| b[0] as f64),
+            Dtype::I8Q => widen(bytes, |b: [u8; 1]| b[0] as i8 as f64 * scale),
+        }
     }
 
     /// All entries widened to `f64`.

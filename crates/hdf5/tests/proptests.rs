@@ -14,6 +14,31 @@ fn any_dtype() -> impl Strategy<Value = Dtype> {
     ]
 }
 
+/// 64-bit words whose low bytes hit the decoding edges of every float
+/// width — NaN payloads (quiet and signalling), ±inf, −0.0, subnormals —
+/// mixed with uniformly random words.
+fn edge_word() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        any::<u64>(),
+        Just(0x7FF4_0000_0000_0BADu64), // f64 signalling NaN with payload
+        Just(0xFFF8_0000_0000_0001u64), // f64 negative quiet NaN
+        Just(0xFFF0_0000_0000_0000u64), // f64 -inf
+        Just(0x8000_0000_0000_0000u64), // f64 -0.0
+        Just(0x000F_FFFF_FFFF_FFFFu64), // f64 largest subnormal
+        Just(0x7FA0_0BADu64),           // f32 signalling NaN with payload
+        Just(0xFFC0_0001u64),           // f32 negative quiet NaN
+        Just(0xFF80_0000u64),           // f32 -inf
+        Just(0x8000_0001u64),           // f32 negative subnormal
+        Just(0x7D01u64),                // f16 signalling NaN
+        Just(0xFC00u64),                // f16 -inf
+        Just(0x8001u64),                // f16 negative subnormal
+        Just(0x7F81u64),                // bf16 signalling NaN
+        Just(0x8000u64),                // f16 / bf16 -0.0
+        Just(0x0001u64),                // smallest subnormal at every width
+    ]
+}
+
 fn path_segment() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,8}".prop_map(|s| s)
 }
@@ -104,6 +129,28 @@ proptest! {
                 prop_assert_eq!(ds.get_bits(i).unwrap(), 0);
             }
         }
+    }
+
+    #[test]
+    fn bulk_f32_decode_matches_per_element_decode(
+        dtype in prop_oneof![
+            Just(Dtype::F16),
+            Just(Dtype::BF16),
+            Just(Dtype::F32),
+            Just(Dtype::F64),
+            Just(Dtype::I8Q),
+        ],
+        words in prop::collection::vec(edge_word(), 0..48),
+        scale in 1e-6f32..1e3,
+    ) {
+        let w = dtype.size();
+        let bytes: Vec<u8> = words.iter().flat_map(|x| x.to_le_bytes()[..w].to_vec()).collect();
+        let ds = Dataset::from_raw_public(dtype, vec![words.len()], bytes).unwrap();
+        let ds = if dtype == Dtype::I8Q { ds.with_scale(scale) } else { ds };
+        let bulk: Vec<u32> = ds.to_f32_vec().iter().map(|v| v.to_bits()).collect();
+        let each: Vec<u32> =
+            (0..ds.len()).map(|i| (ds.get_f64(i).unwrap() as f32).to_bits()).collect();
+        prop_assert_eq!(bulk, each);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use super::Layer;
 use sefi_tensor::Tensor;
 
 /// Rectified linear unit: `max(0, x)` elementwise.
+#[derive(Clone)]
 pub struct ReLU {
     name: String,
     mask: Vec<bool>,

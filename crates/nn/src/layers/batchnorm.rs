@@ -12,6 +12,7 @@ const EPS: f32 = 1e-5;
 const MOMENTUM: f32 = 0.9;
 
 /// Per-channel batch normalization for rank-4 inputs.
+#[derive(Clone)]
 pub struct BatchNorm2d {
     name: String,
     gamma: Tensor,
@@ -24,6 +25,7 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
+#[derive(Clone)]
 struct BnCache {
     xhat: Tensor,
     inv_std: Vec<f32>,

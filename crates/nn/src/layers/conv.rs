@@ -8,7 +8,9 @@ use sefi_tensor::{conv2d_backward_ws_ex, conv2d_ws, he_normal, ConvSpec, ConvWor
 ///
 /// Owns a [`ConvWorkspace`]: the backward pass reuses the im2col columns
 /// the forward pass unfolded, and all conv scratch buffers persist across
-/// steps (zero steady-state kernel allocations).
+/// steps (zero steady-state kernel allocations). A clone starts with an
+/// empty workspace.
+#[derive(Clone)]
 pub struct Conv2d {
     name: String,
     weight: Tensor,

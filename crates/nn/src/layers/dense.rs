@@ -7,6 +7,7 @@ use sefi_tensor::{he_normal, matmul, matmul_a_bt, matmul_at_b, Tensor};
 /// A dense layer `y = x·Wᵀ + b` with `W: [out, in]`, matching the row-major
 /// weight convention of PyTorch's `nn.Linear` (the frontends translate to
 /// their own on-checkpoint layouts).
+#[derive(Clone)]
 pub struct Dense {
     name: String,
     weight: Tensor, // [out, in]

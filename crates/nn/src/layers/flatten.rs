@@ -4,6 +4,7 @@ use super::Layer;
 use sefi_tensor::Tensor;
 
 /// Collapses all non-batch dimensions.
+#[derive(Clone)]
 pub struct Flatten {
     name: String,
     input_shape: Vec<usize>,

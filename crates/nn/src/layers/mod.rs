@@ -46,9 +46,10 @@ pub struct StateRefMut<'a> {
 /// upstream gradient and returns the downstream one, accumulating parameter
 /// gradients internally. Layers are used strictly in forward-then-backward
 /// lockstep by [`crate::Network`].
-/// (`Send` so whole networks can move across rayon worker threads — the
+/// (`Send + Sync` so whole networks can move across rayon worker threads
+/// and a shared template network can be cloned from any of them — the
 /// experiment harness runs independent trials in parallel.)
-pub trait Layer: Send {
+pub trait Layer: Send + Sync + LayerClone {
     /// The layer's instance name (unique within its network).
     fn layer_name(&self) -> &str;
 
@@ -81,5 +82,25 @@ pub trait Layer: Send {
     /// `ConvWorkspace`). Composite layers sum their children.
     fn workspace_bytes(&self) -> usize {
         0
+    }
+}
+
+/// Boxed cloning for [`Layer`] trait objects, so the containers holding
+/// `Box<dyn Layer>` ([`crate::Network`], [`Residual`]) can derive `Clone`.
+/// Every `Clone` layer gets it from the blanket impl.
+pub trait LayerClone {
+    /// A deep copy of this layer in a new box.
+    fn box_clone(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn box_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
     }
 }

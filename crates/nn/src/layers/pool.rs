@@ -4,6 +4,7 @@ use super::Layer;
 use sefi_tensor::{avgpool2d, avgpool2d_backward, maxpool2d, maxpool2d_backward, PoolSpec, Tensor};
 
 /// Max pooling.
+#[derive(Clone)]
 pub struct MaxPool2d {
     name: String,
     spec: PoolSpec,
@@ -43,6 +44,7 @@ impl Layer for MaxPool2d {
 
 /// Average pooling. With `size == stride == spatial extent` this is the
 /// global average pooling that closes ResNet50.
+#[derive(Clone)]
 pub struct AvgPool2d {
     name: String,
     spec: PoolSpec,

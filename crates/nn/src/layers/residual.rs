@@ -10,6 +10,7 @@ use sefi_tensor::Tensor;
 
 /// A residual block with a main branch and an optional projection shortcut
 /// (identity when `None`). A final ReLU follows the join.
+#[derive(Clone)]
 pub struct Residual {
     name: String,
     main: Vec<Box<dyn Layer>>,

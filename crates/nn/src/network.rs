@@ -8,6 +8,10 @@ use std::collections::HashMap;
 /// A feed-forward stack of layers (which may themselves be composite, e.g.
 /// [`crate::Residual`]) with qualified parameter naming and state-dict
 /// import/export.
+///
+/// `Clone` deep-copies every layer's parameters and state; kernel scratch
+/// (conv workspaces) starts empty in the copy.
+#[derive(Clone)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -105,62 +109,69 @@ impl Network {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Export parameters and auxiliary state as a [`StateDict`].
-    pub fn state_dict(&mut self) -> StateDict {
-        let mut sd = StateDict::new();
+    /// Lend every parameter and state tensor to `f` in state-dict order
+    /// (per layer: parameters, then state), with its qualified
+    /// `layer/name` path and whether it is trainable. Export, import and
+    /// the non-finite scans all walk the network through here, without
+    /// copying a tensor.
+    pub fn visit_tensors_mut(&mut self, mut f: impl FnMut(&str, &mut Tensor, bool)) {
         for layer in &mut self.layers {
             let prefix = layer.layer_name().to_string();
             for p in layer.params_mut() {
-                sd.push(format!("{prefix}/{}", p.name), p.value.clone(), true);
+                f(&format!("{prefix}/{}", p.name), p.value, true);
             }
             for s in layer.state_mut() {
-                sd.push(format!("{prefix}/{}", s.name), s.value.clone(), false);
+                f(&format!("{prefix}/{}", s.name), s.value, false);
             }
         }
+    }
+
+    /// Export parameters and auxiliary state as a [`StateDict`].
+    pub fn state_dict(&mut self) -> StateDict {
+        let mut sd = StateDict::new();
+        self.visit_tensors_mut(|path, t, trainable| {
+            sd.push(path.to_string(), t.clone(), trainable)
+        });
         sd
     }
 
     /// Load a [`StateDict`] previously produced by [`Network::state_dict`]
     /// on an identically shaped network. Every network tensor must be
     /// present with a matching shape; extra entries are rejected too —
-    /// silent partial loads would invalidate experiments.
+    /// silent partial loads would invalidate experiments. The whole dict is
+    /// checked before the first tensor is written, so on `Err` the network
+    /// is unchanged.
     pub fn load_state_dict(&mut self, sd: &StateDict) -> Result<(), String> {
-        let mut by_path: HashMap<&str, &crate::NamedTensor> =
-            sd.entries().iter().map(|e| (e.path.as_str(), e)).collect();
-        for layer in &mut self.layers {
-            let prefix = layer.layer_name().to_string();
-            for p in layer.params_mut() {
-                let path = format!("{prefix}/{}", p.name);
-                let entry = by_path
-                    .remove(path.as_str())
-                    .ok_or_else(|| format!("missing tensor {path:?} in state dict"))?;
-                if entry.tensor.shape() != p.value.shape() {
-                    return Err(format!(
+        let mut by_path: HashMap<&str, &Tensor> =
+            sd.entries().iter().map(|e| (e.path.as_str(), &e.tensor)).collect();
+        let mut sources = Vec::with_capacity(by_path.len());
+        let mut failure = None;
+        self.visit_tensors_mut(|path, t, _| {
+            if failure.is_some() {
+                return;
+            }
+            match by_path.remove(path) {
+                Some(src) if src.shape() == t.shape() => sources.push(src),
+                Some(src) => {
+                    failure = Some(format!(
                         "shape mismatch for {path:?}: network {:?}, checkpoint {:?}",
-                        p.value.shape(),
-                        entry.tensor.shape()
+                        t.shape(),
+                        src.shape()
                     ));
                 }
-                *p.value = entry.tensor.clone();
+                None => failure = Some(format!("missing tensor {path:?} in state dict")),
             }
-            for s in layer.state_mut() {
-                let path = format!("{prefix}/{}", s.name);
-                let entry = by_path
-                    .remove(path.as_str())
-                    .ok_or_else(|| format!("missing tensor {path:?} in state dict"))?;
-                if entry.tensor.shape() != s.value.shape() {
-                    return Err(format!(
-                        "shape mismatch for {path:?}: network {:?}, checkpoint {:?}",
-                        s.value.shape(),
-                        entry.tensor.shape()
-                    ));
-                }
-                *s.value = entry.tensor.clone();
-            }
+        });
+        if let Some(e) = failure {
+            return Err(e);
         }
-        if let Some((path, _)) = by_path.into_iter().next() {
+        if let Some(path) = by_path.into_keys().next() {
             return Err(format!("unexpected tensor {path:?} in state dict"));
         }
+        let mut sources = sources.into_iter();
+        self.visit_tensors_mut(|_, t, _| {
+            t.data_mut().copy_from_slice(sources.next().expect("one source per tensor").data());
+        });
         Ok(())
     }
 
@@ -171,7 +182,9 @@ impl Network {
 
     /// True if any parameter or state tensor holds a non-finite value.
     pub fn has_non_finite(&mut self) -> bool {
-        self.state_dict().has_non_finite()
+        let mut found = false;
+        self.visit_tensors_mut(|_, t, _| found = found || t.has_non_finite());
+        found
     }
 
     /// Total bytes of kernel workspace retained across steps by all layers
@@ -226,13 +239,16 @@ mod tests {
     #[test]
     fn load_rejects_missing_and_extra_and_mismatched() {
         let mut net = tiny_net(1);
-        let mut sd = net.state_dict();
+        let before = net.state_dict();
+        // Every bad dict carries another init's values, so a partial write
+        // before the error would show.
+        let full = tiny_net(2).state_dict();
         // Extra entry.
+        let mut sd = full.clone();
         sd.push("ghost/W".into(), Tensor::zeros(&[1]), true);
         assert!(net.load_state_dict(&sd).is_err());
         // Missing entry.
         let sd2 = {
-            let full = net.state_dict();
             let mut partial = StateDict::new();
             for e in full.entries().iter().skip(1) {
                 partial.push(e.path.clone(), e.tensor.clone(), e.trainable);
@@ -242,7 +258,6 @@ mod tests {
         assert!(net.load_state_dict(&sd2).is_err());
         // Shape mismatch.
         let sd3 = {
-            let full = net.state_dict();
             let mut bad = StateDict::new();
             for e in full.entries() {
                 let t = if e.path == "conv1/b" { Tensor::zeros(&[5]) } else { e.tensor.clone() };
@@ -251,6 +266,7 @@ mod tests {
             bad
         };
         assert!(net.load_state_dict(&sd3).unwrap_err().contains("shape mismatch"));
+        assert_eq!(net.state_dict(), before, "failed loads must not write");
     }
 
     #[test]

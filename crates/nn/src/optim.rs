@@ -25,6 +25,7 @@ impl Default for SgdConfig {
 /// Velocity buffers are keyed by the position of each parameter in the
 /// network's deterministic traversal order, so an optimizer stays attached
 /// to "its" parameters across steps without interior references.
+#[derive(Clone)]
 pub struct Sgd {
     config: SgdConfig,
     velocity: Vec<Tensor>,

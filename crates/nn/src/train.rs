@@ -94,6 +94,7 @@ pub fn evaluate(net: &mut Network, data: &SyntheticCifar10, split: Split) -> f64
 }
 
 /// Drives epochs of SGD over a network.
+#[derive(Clone)]
 pub struct Trainer {
     config: TrainConfig,
     optimizer: Sgd,
@@ -175,10 +176,12 @@ impl Trainer {
     }
 
     fn weights_have_nev(&self, net: &mut Network) -> bool {
-        let sd = net.state_dict();
-        sd.entries().iter().any(|e| {
-            e.tensor.data().iter().any(|&v| self.config.nev.classify_f64(v as f64).is_some())
-        })
+        let nev = &self.config.nev;
+        let mut found = false;
+        net.visit_tensors_mut(|_, t, _| {
+            found = found || t.data().iter().any(|&v| nev.classify_f64(v as f64).is_some());
+        });
+        found
     }
 }
 

@@ -11,7 +11,9 @@
 //! Open loop means send times never wait for responses: if the server
 //! lags, requests pile up in its batch queue (that is the backpressure
 //! being measured), and if the sender itself falls behind schedule it
-//! sends immediately rather than rescheduling.
+//! sends immediately rather than rescheduling. Latency is timed from each
+//! request's due instant, not from its send, so a sender that falls
+//! behind charges the lag to the requests it delayed instead of hiding it.
 
 use crate::proto::{read_response, write_request, Response};
 use sefi_data::{DataConfig, Split, SyntheticCifar10};
@@ -52,7 +54,7 @@ pub struct LoadgenReport {
     pub missing: Vec<u64>,
     /// Responses whose id had already been answered.
     pub duplicates: u64,
-    /// Per-request latency (ns), sorted ascending.
+    /// Per-request latency (ns) from the due instant, sorted ascending.
     pub latencies_ns: Vec<u64>,
     /// `(id, class, flags)` sorted by id.
     pub answers: Vec<(u64, u32, u32)>,
@@ -127,16 +129,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
 
     let mut writer = stream.try_clone()?;
     let t0 = Instant::now();
-    let mut sent_at = HashMap::with_capacity(cfg.requests as usize);
     for (i, offset) in offsets.iter().enumerate() {
         let due = t0 + *offset;
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
         }
-        let id = i as u64;
-        write_request(&mut writer, id, &images[i % images.len()])?;
-        sent_at.insert(id, Instant::now());
+        write_request(&mut writer, i as u64, &images[i % images.len()])?;
     }
     writer.flush()?;
     // Half-close: the server reader sees EOF once it has consumed
@@ -166,8 +165,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
             duplicates += 1;
             continue;
         }
-        if let Some(&sent) = sent_at.get(&resp.id) {
-            latencies.push(at.saturating_duration_since(sent).as_nanos() as u64);
+        if let Some(ns) = latency_from_due(t0, &offsets, resp.id, at) {
+            latencies.push(ns);
         }
     }
     let missing: Vec<u64> = (0..cfg.requests).filter(|id| !answers.contains_key(id)).collect();
@@ -182,4 +181,31 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         latencies_ns: latencies,
         answers: sorted,
     })
+}
+
+/// Latency of an answer to request `id` that arrived at `at`, timed from
+/// the instant the request was due (`t0 + offsets[id]`), not from when it
+/// was written: a generator that stalls writes late, and timing from the
+/// write would hide the stall from every request it delayed. `None` for
+/// an id that was never scheduled.
+fn latency_from_due(t0: Instant, offsets: &[Duration], id: u64, at: Instant) -> Option<u64> {
+    let offset = offsets.get(usize::try_from(id).ok()?)?;
+    Some(at.saturating_duration_since(t0 + *offset).as_nanos() as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_counts_from_the_due_instant() {
+        let t0 = Instant::now();
+        let offsets = [Duration::ZERO, Duration::from_millis(10)];
+        let at = t0 + Duration::from_millis(25);
+        // Request 1 was due at +10 ms: however late the generator wrote
+        // it, an answer at +25 ms kept it waiting 15 ms.
+        assert_eq!(latency_from_due(t0, &offsets, 1, at), Some(15_000_000));
+        assert_eq!(latency_from_due(t0, &offsets, 0, at), Some(25_000_000));
+        assert_eq!(latency_from_due(t0, &offsets, 2, at), None, "never scheduled");
+    }
 }

@@ -161,6 +161,17 @@ pub struct ConvWorkspace {
     pub(crate) key: Option<ConvKey>,
 }
 
+/// A clone is an *empty* workspace. Scratch is not layer state: a cloned
+/// layer refills its columns on its first forward, with identical results.
+/// A field-wise copy would also break the alignment invariant, because
+/// each `AVec`'s aligned-window offset is only valid for the allocation
+/// it was computed on.
+impl Clone for ConvWorkspace {
+    fn clone(&self) -> Self {
+        Self::new()
+    }
+}
+
 impl ConvWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
@@ -236,6 +247,8 @@ mod tests {
         ensure(&mut ws.cols, 64);
         assert!(ws.retained_bytes() >= 64 * 4);
         assert_eq!(ws.cols.as_ptr() as usize % WS_ALIGN, 0);
+        // A clone carries no scratch; it regrows (aligned) on first use.
+        assert_eq!(ws.clone().retained_bytes(), 0);
         ws.invalidate();
         assert!(ws.key.is_none());
     }
