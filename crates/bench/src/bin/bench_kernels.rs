@@ -1,6 +1,7 @@
-//! Standalone kernel-throughput benchmark (no Criterion): GEMM, conv2d
-//! forward+backward, and full training epochs per model, written to a
-//! machine-readable trajectory file at the repo root.
+//! Standalone kernel-throughput benchmark (no Criterion): the rayon
+//! dispatch cost, GEMM, conv2d forward+backward, and full training epochs
+//! per model, written to a machine-readable trajectory file at the repo
+//! root.
 //!
 //! Unlike the Criterion benches, this binary is meant to be run twice —
 //! once with `--label before` on the previous kernels and once with
@@ -17,6 +18,7 @@
 //!   bench_kernels --label before|after [--out PATH] [--smoke]
 //!                 [--assert-speedup ENTRY:FACTOR]...
 
+use rayon::prelude::*;
 use sefi_data::{DataConfig, SyntheticCifar10};
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_models::{ModelConfig, ModelKind};
@@ -181,6 +183,26 @@ fn session(model: ModelKind) -> Session {
 }
 
 fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
+    // The fixed cost of one parallel dispatch: a 2-item `par_chunks_mut`
+    // on 2 threads whose body is a single add, i.e. what every kernel op
+    // above its `PAR_*` threshold pays on top of its work (wall-clock row).
+    {
+        let saved = std::env::var("RAYON_NUM_THREADS").ok();
+        std::env::set_var("RAYON_NUM_THREADS", "2");
+        let mut data = [0u64; 2];
+        let ns = time_ns(budget.gemm_time, 100, 10_000_000, || {
+            std::hint::black_box(&mut data[..])
+                .par_chunks_mut(1)
+                .for_each(|c| c[0] = c[0].wrapping_add(1));
+        });
+        match saved {
+            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
+        file.record("par_dispatch_2", 0.0, ns, label);
+        println!("  par_dispatch_2       {ns:>10.1} ns/iter");
+    }
+
     // Square GEMMs, including the acceptance-gate 256 point.
     for n in [128usize, 256, 512] {
         let a = fill(&[n, n]);

@@ -93,11 +93,16 @@ pub(crate) fn par_enabled() -> bool {
 // Per-op parallel-dispatch thresholds, calibrated per op from
 // `bench_kernels` timings (see DESIGN.md "Kernel architecture"): an op goes
 // parallel when its serial cost clearly exceeds a few thread-dispatch
-// round-trips (~20 µs each on the shim's scoped-thread pool). The SIMD
-// microkernels retired ~3x more flops per cycle than the scalar tiled
-// generation they replaced, so the GEMM/im2col/col2im crossovers moved up
-// by about that factor (PR 8) — a problem that amortized the dispatch cost
-// at 38 GFLOPS no longer does at 110.
+// round-trips. They were tuned when the shim spawned scoped threads per
+// dispatch: a 2-item dispatch on 2 threads then cost ~65 µs, of which
+// ~20 µs was re-reading the host core count. The persistent pool brought
+// it to ~1 µs (`par_dispatch_2` in BENCH_kernels.json, DESIGN.md §8), so
+// the crossovers below are probably higher than they need to be; retuning
+// them against the new cost is left for a follow-up. The SIMD microkernels
+// retired ~3x more flops per cycle than the scalar tiled generation they
+// replaced, so the GEMM/im2col/col2im crossovers moved up by about that
+// factor — a problem that amortized the dispatch cost at 38 GFLOPS no
+// longer does at 110.
 
 /// GEMM flops (`2·m·n·k` halved to `m·n·k` for comparison with the old
 /// constant) above which row-blocks are distributed over the pool.
