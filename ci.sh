@@ -156,6 +156,15 @@ grep -Eq 'storage +0 +144 +0' "$storage_dir/run2.log"
 cmp <(grep -A5 'Region' "$storage_dir/run1.log") <(grep -A5 'Region' "$storage_dir/run2.log")
 rm -rf "$storage_dir"
 
+echo "== SEC-DED extension golden =="
+# ext_ecc_shield at the default budget must print exactly the committed
+# table: a change to the sidecar's Hamming(72,64) code, its repair, or the
+# corrupter shows up as a changed repaired / detected / miscorrected count.
+ecc_out="$(mktemp)"
+cargo run -q --release -p sefi-experiments --bin ext_ecc_shield > "$ecc_out"
+cmp "$ecc_out" ext_ecc_default.txt
+rm -f "$ecc_out"
+
 echo "== forensics CLI smoke =="
 # The sefi-ckpt loop end to end: mint a fixture, protect it, flip one bit,
 # assert scan flags the damage (exit 1), salvage repairs it via ECC, the

@@ -1,12 +1,12 @@
-//! Protection-layer benches: the NevGuard scrubber, the SEC-DED shield,
-//! and the iterative-solver substrate — the cost of making checkpoints
+//! Protection-layer benches: the NevGuard scrubber, the SEC-DED word
+//! code, and the iterative-solver substrate — the cost of making checkpoints
 //! "virtually unbreakable" (paper Section VI-1).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sefi_bench::synthetic_checkpoint;
 use sefi_core::{Corrupter, CorrupterConfig, NevGuard};
-use sefi_ecc::EccShield;
 use sefi_float::Precision;
+use sefi_hdf5::hamming::encode;
 use sefi_hdf5::Dtype;
 use sefi_solver::HeatSolver;
 use std::hint::black_box;
@@ -40,39 +40,15 @@ fn bench_guard(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ecc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ecc_shield");
-    group.throughput(Throughput::Elements(ENTRIES as u64));
-    let file = synthetic_checkpoint(ENTRIES, Dtype::F64);
-    group.bench_function("protect", |b| {
-        b.iter(|| black_box(EccShield::protect(&file)));
-    });
-    let shield = EccShield::protect(&file);
-    group.bench_function("verify_clean", |b| {
-        b.iter(|| {
-            let mut f = file.clone();
-            black_box(shield.verify_and_repair(&mut f).unwrap())
-        });
-    });
-    let corrupted = {
-        let mut f = file.clone();
-        Corrupter::new(CorrupterConfig::bit_flips_full_range(100, Precision::Fp64, 2))
-            .unwrap()
-            .corrupt(&mut f)
-            .unwrap();
-        f
-    };
-    group.bench_function("verify_and_repair_100_flips", |b| {
-        b.iter(|| {
-            let mut f = corrupted.clone();
-            black_box(shield.verify_and_repair(&mut f).unwrap())
-        });
-    });
+fn bench_hamming(c: &mut Criterion) {
+    // Whole-checkpoint protect and repair are timed by bench_forensics
+    // (`protect`, `load_correct_clean`, `load_correct_damaged`).
+    let mut group = c.benchmark_group("hamming");
     group.bench_function("word_encode", |b| {
         b.iter(|| {
             let mut acc = 0u8;
             for w in 0..1000u64 {
-                acc ^= sefi_ecc::encode(black_box(w.wrapping_mul(0x9E3779B97F4A7C15)));
+                acc ^= encode(black_box(w.wrapping_mul(0x9E3779B97F4A7C15)));
             }
             acc
         });
@@ -93,5 +69,5 @@ fn bench_solver(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_guard, bench_ecc, bench_solver);
+criterion_group!(benches, bench_guard, bench_hamming, bench_solver);
 criterion_main!(benches);

@@ -3,18 +3,20 @@
 //! Table V studies single bit-flips (the dominant real SDC); Table VI
 //! studies multi-bit DRAM masks and closes by motivating "more robust
 //! error detection and correction systems". This binary quantifies both
-//! against an extended-Hamming(72,64) parity sidecar (`sefi-ecc`):
-//! single flips are always repaired (checkpoint byte-identical to the
-//! original), while the paper's 3–6-bit masks defeat correction — even-
-//! weight masks are detected-uncorrectable, odd-weight masks alias into
-//! miscorrections.
+//! against the extended-Hamming(72,64) parity sidecar of the v2 container
+//! ([`sefi_hdf5::EccSidecar`]), minted over the pristine checkpoint and
+//! applied as if the corrupter's flips had struck the stored file
+//! ([`sefi_experiments::ecc::repair_as_stored`]): single flips are always
+//! repaired (checkpoint byte-identical to the original), while the
+//! paper's 3–6-bit masks defeat correction — even-weight masks are
+//! detected-uncorrectable, odd-weight masks alias into miscorrections.
+//! `ext_ecc_default.txt` holds the default-budget output.
 
 use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
-use sefi_ecc::EccShield;
-use sefi_experiments::{budget_from_args, combo_seed, table::TextTable, Prebaked};
+use sefi_experiments::{budget_from_args, combo_seed, ecc, table::TextTable, Prebaked};
 use sefi_float::{BitMask, Precision};
 use sefi_frameworks::FrameworkKind;
-use sefi_hdf5::Dtype;
+use sefi_hdf5::{Dtype, EccSidecar};
 use sefi_models::ModelKind;
 
 fn main() {
@@ -23,7 +25,8 @@ fn main() {
     println!("budget: {} ({} trials/row)\n", budget.name, budget.trials);
     let pre = Prebaked::new(budget);
     let pristine = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
-    let shield = EccShield::protect(&pristine);
+    let stored = pristine.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).expect("pristine checkpoint protects");
     let trials = budget.trials;
 
     let mut table = TextTable::new(&[
@@ -45,10 +48,10 @@ fn main() {
                 combo_seed(FrameworkKind::Chainer, ModelKind::AlexNet, "ecc-flip", trial) ^ flips,
             );
             Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap();
-            let report = shield.verify_and_repair(&mut ck).unwrap();
-            if ck.to_bytes() == pristine.to_bytes() {
+            let (bytes, report) = ecc::repair_as_stored(&stored, &sidecar, &ck).unwrap();
+            if bytes == stored {
                 repaired += 1;
-            } else if report.uncorrectable() > 0 {
+            } else if report.uncorrectable_words > 0 {
                 detected += 1;
             } else {
                 miscorrected += 1;
@@ -78,10 +81,10 @@ fn main() {
                 seed: combo_seed(FrameworkKind::Chainer, ModelKind::AlexNet, mask, trial),
             };
             Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap();
-            let report = shield.verify_and_repair(&mut ck).unwrap();
-            if ck.to_bytes() == pristine.to_bytes() {
+            let (bytes, report) = ecc::repair_as_stored(&stored, &sidecar, &ck).unwrap();
+            if bytes == stored {
                 repaired += 1;
-            } else if report.uncorrectable() > 0 {
+            } else if report.uncorrectable_words > 0 {
                 detected += 1;
             } else {
                 miscorrected += 1;

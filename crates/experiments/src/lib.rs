@@ -21,6 +21,7 @@
 pub mod adaptive;
 mod budget;
 pub mod chart;
+pub mod ecc;
 pub mod exp_bitranges;
 pub mod exp_curves;
 pub mod exp_equivalent;

@@ -39,7 +39,7 @@ use crate::error::{Error, Result};
 use crate::format::{self, Cursor};
 use crate::limits::{MAX_DEPTH, MAX_LEN};
 use crate::node::{Group, Node};
-use crate::sidecar::EccSidecar;
+use crate::sidecar::{check_binding, EccSidecar};
 use crate::H5File;
 
 use std::io::{Read, Seek, SeekFrom};
@@ -613,23 +613,10 @@ impl IndexedFile {
 
     /// Attach an ECC parity sidecar so lazy reads run in `Correct` mode:
     /// a section whose CRC fails is SEC-DED-repaired before being given
-    /// up on. The sidecar must bind to this checkpoint (same index CRC)
-    /// and describe the same sections.
+    /// up on. The sidecar must pass [`check_binding`] against this
+    /// checkpoint's index.
     pub fn attach_sidecar(&mut self, sidecar: EccSidecar) -> Result<()> {
-        if sidecar.index_crc() != self.index.index_crc() {
-            return Err(Error::Malformed(format!(
-                "ECC sidecar binds to index CRC {:#010x}, checkpoint has {:#010x}",
-                sidecar.index_crc(),
-                self.index.index_crc()
-            )));
-        }
-        if sidecar.section_count() != self.index.entries().len() {
-            return Err(Error::Malformed(format!(
-                "ECC sidecar covers {} sections, checkpoint has {}",
-                sidecar.section_count(),
-                self.index.entries().len()
-            )));
-        }
+        check_binding(&sidecar, &self.index)?;
         self.sidecar = Some(sidecar);
         Ok(())
     }
@@ -966,6 +953,37 @@ mod tests {
         let mut ix = H5File::open_indexed(&p1).unwrap();
         let (_, rec) = ix.dataset_correct_or_zero("model_weights/conv1/W").unwrap();
         assert_eq!(rec, SectionRecovery::ZeroFilled);
+    }
+
+    #[test]
+    fn attach_sidecar_rejects_skewed_word_counts() {
+        // Right index CRC and section count, but one parity byte moved from
+        // section 0 to section 1: no section's words line up with its data,
+        // so the sidecar could never repair anything.
+        let dir = TestDir::new("hdf5_v2_lazy_skew");
+        let bytes = encode(&sample());
+        let p = dir.file("ckpt.sefi5");
+        std::fs::write(&p, &bytes).unwrap();
+        let sidecar = crate::EccSidecar::protect(&bytes).unwrap();
+        let mut sections: Vec<Vec<u8>> = (0..sidecar.section_count())
+            .map(|i| sidecar.section_parities(i).unwrap().to_vec())
+            .collect();
+        let moved = sections[0].pop().unwrap();
+        sections[1].push(moved);
+        let mut ser = sidecar.to_bytes()[..crate::sidecar::SIDECAR_HEADER_LEN].to_vec();
+        for s in &sections {
+            ser.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            ser.extend_from_slice(s);
+        }
+        let skewed = crate::EccSidecar::from_bytes(&ser).unwrap();
+        assert_eq!(skewed.index_crc(), sidecar.index_crc());
+        assert_eq!(skewed.section_count(), sidecar.section_count());
+
+        let mut ix = H5File::open_indexed(&p).unwrap();
+        assert!(matches!(
+            ix.attach_sidecar(skewed),
+            Err(Error::Malformed(m)) if m.contains("section 0 has 0 words")
+        ));
     }
 
     #[test]

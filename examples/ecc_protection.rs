@@ -1,9 +1,10 @@
 //! Protecting checkpoints with SEC-DED ECC (the direction behind the
 //! paper's Table VI discussion and its references [44]–[46]).
 //!
-//! Train a model, protect its checkpoint with a Hamming(72,64) parity
-//! sidecar, hit it with single bit-flips and with the paper's multi-bit
-//! DRAM masks, and see what the code can and cannot save.
+//! Train a model, protect its stored v2 checkpoint with a Hamming(72,64)
+//! parity sidecar ([`EccSidecar`]), hit it with single bit-flips and with
+//! the paper's multi-bit DRAM masks, and see what the code can and cannot
+//! save.
 //!
 //! ```text
 //! cargo run --release --example ecc_protection
@@ -11,10 +12,10 @@
 
 use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
 use sefi_data::{DataConfig, SyntheticCifar10};
-use sefi_ecc::EccShield;
+use sefi_experiments::ecc::repair_as_stored;
 use sefi_float::{BitMask, Precision};
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
-use sefi_hdf5::Dtype;
+use sefi_hdf5::{Dtype, EccSidecar, H5File};
 use sefi_models::{ModelConfig, ModelKind};
 
 fn main() {
@@ -33,13 +34,14 @@ fn main() {
     let checkpoint = session.checkpoint(Dtype::F64);
 
     // Protect: one parity byte per 64-bit word.
-    let shield = EccShield::protect(&checkpoint);
-    let sidecar = shield.to_file();
+    let stored = checkpoint.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).unwrap();
     println!(
-        "checkpoint: {} entries; sidecar: {} parity bytes ({}% overhead)\n",
+        "checkpoint: {} entries in {} bytes; sidecar: {} parity bytes ({}% overhead)\n",
         checkpoint.total_entries(),
-        sidecar.total_entries(),
-        100 * sidecar.total_entries() / (checkpoint.total_entries() * 8)
+        stored.len(),
+        sidecar.parity_bytes(),
+        100 * sidecar.parity_bytes() / stored.len()
     );
 
     // Scenario 1: a realistic SDC — one random bit-flip.
@@ -48,11 +50,11 @@ fn main() {
         .unwrap()
         .corrupt(&mut hit)
         .unwrap();
-    let report = shield.verify_and_repair(&mut hit).unwrap();
+    let (bytes, report) = repair_as_stored(&stored, &sidecar, &hit).unwrap();
     println!(
         "single flip: corrected {} word(s); checkpoint identical to original: {}",
-        report.corrected(),
-        hit.to_bytes() == checkpoint.to_bytes()
+        report.corrected_words,
+        bytes == stored
     );
 
     // Scenario 2: the paper's 6-bit DRAM mask, ten weights.
@@ -67,22 +69,25 @@ fn main() {
         seed: 7,
     };
     Corrupter::new(mask_cfg).unwrap().corrupt(&mut hit).unwrap();
-    let report = shield.verify_and_repair(&mut hit).unwrap();
+    let (bytes, report) = repair_as_stored(&stored, &sidecar, &hit).unwrap();
     println!(
         "6-bit mask x10: corrected {}, detected-uncorrectable {} — multi-bit errors defeat SEC-DED",
-        report.corrected(),
-        report.uncorrectable()
+        report.corrected_words, report.uncorrectable_words
     );
 
     // The uncorrectable detection is actionable: fall back to a clean copy
     // instead of resuming from known-bad state.
-    let resume_from = if report.uncorrectable() > 0 { &checkpoint } else { &hit };
+    let resume_from = if report.uncorrectable_words > 0 {
+        checkpoint
+    } else {
+        H5File::from_bytes_unverified(&bytes).unwrap()
+    };
     let mut resumed = Session::new(cfg);
-    resumed.restore(resume_from).unwrap();
+    resumed.restore(&resume_from).unwrap();
     let out = resumed.train_to(&data, 5);
     println!(
         "resumed from {} to accuracy {:.2}%",
-        if report.uncorrectable() > 0 {
+        if report.uncorrectable_words > 0 {
             "the clean checkpoint (ECC raised the alarm)"
         } else {
             "the repaired checkpoint"

@@ -1,12 +1,12 @@
-//! Integration: the protection layers (NevGuard, SEC-DED shield) composed
-//! with real framework checkpoints and resumed training.
+//! Integration: the protection layers (NevGuard, the SEC-DED sidecar)
+//! composed with real framework checkpoints and resumed training.
 
-use sefi_core::{Corrupter, CorrupterConfig, NevGuard};
+use sefi_core::{Corrupter, CorrupterConfig, LocationSelection, NevGuard};
 use sefi_data::{DataConfig, SyntheticCifar10};
-use sefi_ecc::EccShield;
+use sefi_experiments::ecc::repair_as_stored;
 use sefi_float::Precision;
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
-use sefi_hdf5::Dtype;
+use sefi_hdf5::{Dataset, Dtype, EccSidecar, FileIndex, H5File};
 use sefi_models::{ModelConfig, ModelKind};
 
 fn data() -> SyntheticCifar10 {
@@ -59,7 +59,8 @@ fn ecc_restores_single_flip_checkpoints_to_rwc() {
     let mut s = session();
     s.train_to(&d, 1);
     let ck = s.checkpoint(Dtype::F64);
-    let shield = EccShield::protect(&ck);
+    let stored = ck.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).unwrap();
 
     // Baseline resume.
     let mut base = session();
@@ -73,12 +74,12 @@ fn ecc_restores_single_flip_checkpoints_to_rwc() {
         .corrupt(&mut hit)
         .unwrap();
     assert_ne!(hit.to_bytes(), ck.to_bytes());
-    let report = shield.verify_and_repair(&mut hit).unwrap();
-    assert_eq!(report.corrected(), 1);
-    assert_eq!(hit.to_bytes(), ck.to_bytes(), "ECC must restore byte-identity");
+    let (bytes, report) = repair_as_stored(&stored, &sidecar, &hit).unwrap();
+    assert_eq!(report.corrected_words, 1);
+    assert_eq!(bytes, stored, "ECC must restore byte-identity");
 
     let mut repaired = session();
-    repaired.restore(&hit).unwrap();
+    repaired.restore(&H5File::from_bytes(&bytes).unwrap()).unwrap();
     let rep_out = repaired.train_to(&d, 3);
     assert_eq!(rep_out.history(), base_out.history(), "repaired resume == baseline");
 }
@@ -92,7 +93,8 @@ fn guard_then_ecc_protect_different_things() {
     let mut s = session();
     s.train_to(&d, 1);
     let ck = s.checkpoint(Dtype::F64);
-    let shield = EccShield::protect(&ck);
+    let stored = ck.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).unwrap();
 
     let mut hit = ck.clone();
     // Heavy corruption: some words take multiple flips.
@@ -100,7 +102,10 @@ fn guard_then_ecc_protect_different_things() {
         .unwrap()
         .corrupt(&mut hit)
         .unwrap();
-    let ecc_report = shield.verify_and_repair(&mut hit).unwrap();
+    let (bytes, ecc_report) = repair_as_stored(&stored, &sidecar, &hit).unwrap();
+    // Words ECC could not repair still fail their section CRCs; load past
+    // them so the guard gets its turn.
+    let mut hit = H5File::from_bytes_unverified(&bytes).unwrap();
     let guard_report = NevGuard::default_repair().scrub(&mut hit);
     // Whatever remains after both layers trains without collapse.
     let mut healed = session();
@@ -109,8 +114,69 @@ fn guard_then_ecc_protect_different_things() {
     assert!(
         !out.collapsed(),
         "ecc corrected {} / flagged {}, guard repaired {}, yet training collapsed",
-        ecc_report.corrected(),
-        ecc_report.uncorrectable(),
+        ecc_report.corrected_words,
+        ecc_report.uncorrectable_words,
         guard_report.findings.len()
     );
+}
+
+/// A small checkpoint whose datasets end on a full word (`m/w`), a short
+/// trailing word (`m/b`) and a lone scalar (`m/epoch`).
+fn small_checkpoint() -> H5File {
+    let mut f = H5File::new();
+    let values: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.21).cos()).collect();
+    f.create_dataset("m/w", Dataset::from_f32(&values, &[64], Dtype::F64).unwrap()).unwrap();
+    f.create_dataset("m/b", Dataset::from_f32(&[0.5; 7], &[7], Dtype::F32).unwrap()).unwrap();
+    f.create_dataset("m/epoch", Dataset::scalar_i64(20)).unwrap();
+    f
+}
+
+#[test]
+fn corrupter_flips_are_repaired_or_flagged_never_silently_missed() {
+    // Random corrupter flips may collide in one word, and then SEC-DED can
+    // only detect. The invariant is that nothing is silently accepted:
+    // after repair, every word that still differs from the original is one
+    // the code flags uncorrectable.
+    let f = small_checkpoint();
+    let stored = f.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).unwrap();
+    let mut g = f.clone();
+    let mut cfg = CorrupterConfig::bit_flips_full_range(5, Precision::Fp64, 3);
+    cfg.locations = LocationSelection::Listed(vec!["m/w".to_string(), "m/epoch".to_string()]);
+    Corrupter::new(cfg).unwrap().corrupt(&mut g).unwrap();
+    let (bytes, report) = repair_as_stored(&stored, &sidecar, &g).unwrap();
+    assert!(report.corrected_words + report.uncorrectable_words >= 1);
+
+    let mut still_wrong = 0;
+    for (i, e) in FileIndex::parse(&stored).unwrap().entries().iter().enumerate() {
+        let (got, want) =
+            (&bytes[e.offset..e.offset + e.byte_len], &stored[e.offset..e.offset + e.byte_len]);
+        let differing = got.chunks(8).zip(want.chunks(8)).filter(|(a, b)| a != b).count();
+        let flagged = sidecar.scrub_section(i, got).unwrap().uncorrectable_words;
+        assert_eq!(differing, flagged, "unflagged difference in {}", e.path);
+        still_wrong += differing;
+    }
+    assert_eq!(still_wrong, report.uncorrectable_words);
+}
+
+#[test]
+fn paper_four_bit_mask_in_one_word_is_flagged_uncorrectable() {
+    // The paper's Table VI motivation: multi-bit DRAM errors beat SEC-DED.
+    // Its 4-bit mask in one word has even weight, so the code detects it
+    // and must leave the data alone rather than "repair" it.
+    let f = small_checkpoint();
+    let stored = f.to_bytes_v2();
+    let sidecar = EccSidecar::protect(&stored).unwrap();
+    let mut g = f.clone();
+    {
+        let ds = g.dataset_mut("m/w").unwrap();
+        let bits = ds.get_bits(10).unwrap();
+        ds.set_bits(10, bits ^ 0b01101010 << 20).unwrap();
+    }
+    let (bytes, report) = repair_as_stored(&stored, &sidecar, &g).unwrap();
+    assert_eq!(report.uncorrectable_words, 1, "even-weight mask must be detected");
+    assert_eq!(report.corrected_words, 0);
+    let payload = FileIndex::parse(&stored).unwrap().payload_start();
+    assert_eq!(bytes[payload..], g.to_bytes_v2()[payload..], "a detected word keeps its bytes");
+    assert_ne!(bytes, stored);
 }
