@@ -28,16 +28,25 @@
 //!   results directory each regenerate the adaptive sweep; the resulting
 //!   CSVs must be byte-identical at every process count.
 //!
-//! Usage:
-//!   bench_campaign [--out PATH] [--smoke] [--assert-speedup FACTOR]
-//!                  [--assert-trial-savings FRACTION] [--worker-bin PATH]
+//! Last comes the telemetry-overhead bound, a built-in check: one trial's
+//! campaign bookkeeping (two event emits and one flushed manifest append)
+//! must cost under 1% of one real micro-scale Table IV trial (corrupt +
+//! resume). Real budgets train far longer per trial, so the production
+//! ratio is smaller still.
 
+use sefi_bench::harness::{host_threads, paired_min_ns, write_json, Cli, Gates};
+use sefi_core::{Corrupter, CorrupterConfig};
 use sefi_experiments::{exp_bitranges, Budget, CellPlan, Prebaked, StoppingRule, TrialOutcome};
+use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_models::ModelKind;
+use sefi_telemetry::{digest64, Event, JsonlSink, Manifest, TrialRecord};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+const USAGE: &str = "bench_campaign [--out PATH] [--smoke] [--assert-speedup FACTOR] \
+                     [--assert-trial-savings FRACTION] [--worker-bin PATH]";
 
 /// One pool measurement at a fixed worker count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -148,37 +157,106 @@ fn set_threads(n: usize) {
     std::env::set_var("RAYON_NUM_THREADS", n.to_string());
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_campaign.json".to_string();
-    let mut smoke = false;
-    let mut assert_speedup: Option<f64> = None;
-    let mut assert_trial_savings: Option<f64> = None;
-    let mut worker_bin: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            "--assert-speedup" => {
-                i += 1;
-                assert_speedup = Some(args[i].parse().expect("speedup factor"));
-            }
-            "--assert-trial-savings" => {
-                i += 1;
-                assert_trial_savings = Some(args[i].parse().expect("savings fraction"));
-            }
-            "--worker-bin" => {
-                i += 1;
-                worker_bin = Some(PathBuf::from(&args[i]));
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
+/// The smallest budget that still runs a real trial: one resume epoch.
+fn micro() -> Budget {
+    Budget {
+        trials: 2,
+        curve_trials: 1,
+        restart_epoch: 1,
+        resume_epochs: 1,
+        curve_end_epoch: 2,
+        fig2_trainings: 1,
+        ..Budget::smoke()
     }
+}
+
+/// One trial's worth of campaign bookkeeping: the `TrialStart` and
+/// `TrialEnd` emits around one flushed manifest append.
+fn bookkeep(sink: &JsonlSink, manifest: &Manifest, seed: u64) {
+    sink.emit(&Event::TrialStart {
+        experiment: "nev".to_string(),
+        cell: "nev-64-1000".to_string(),
+        trial: seed,
+        seed,
+    });
+    manifest
+        .record(TrialRecord {
+            experiment: "nev".to_string(),
+            cell: "nev-64-1000".to_string(),
+            framework: "chainer".to_string(),
+            model: "alexnet".to_string(),
+            trial: seed,
+            seed,
+            config_digest: digest64("bench"),
+            duration_ns: 1_000_000,
+            outcome: TrialOutcome::ok().with_collapsed(true).with_counters(1000, 37, 0),
+        })
+        .expect("manifest append succeeds");
+    sink.emit(&Event::TrialEnd {
+        experiment: "nev".to_string(),
+        cell: "nev-64-1000".to_string(),
+        trial: seed,
+        seed,
+        status: "collapsed".to_string(),
+        duration_ns: 1_000_000,
+        injections: 1000,
+        nan_redraws: 37,
+        skipped: 0,
+        cached: false,
+    });
+}
+
+/// One real Table IV trial at micro scale (1000 full-range flips, then
+/// resume), without the campaign machinery.
+fn one_trial(pre: &Prebaked, seed: u64) -> bool {
+    let pristine =
+        pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, sefi_hdf5::Dtype::F64);
+    let mut ck = pristine.clone();
+    let cfg = CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, seed);
+    Corrupter::new(cfg).expect("valid preset").corrupt(&mut ck).expect("corruption succeeds");
+    pre.resume(FrameworkKind::Chainer, ModelKind::AlexNet, &ck, pre.budget().resume_epochs)
+        .collapsed()
+}
+
+/// Paired per-call ns of (bookkeeping, one micro trial), at the host's
+/// default worker count.
+fn telemetry_overhead(smoke: bool) -> (f64, f64) {
+    std::env::remove_var("RAYON_NUM_THREADS");
+    let dir = std::env::temp_dir().join(format!("sefi_bench_tel_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create telemetry temp dir");
+    let sink = JsonlSink::to_file(dir.join("telemetry.jsonl")).expect("sink opens");
+    let manifest = Manifest::open(dir.join("manifest.jsonl")).expect("manifest opens");
+    let pre = Prebaked::new(micro());
+    let (mut bookkeeps, mut trials) = (0u64, 0u64);
+    let mut book = || {
+        bookkeeps += 1;
+        bookkeep(&sink, &manifest, bookkeeps);
+    };
+    let mut trial = || {
+        trials += 1;
+        std::hint::black_box(one_trial(&pre, trials));
+    };
+    // Warmup: pretraining the micro checkpoint, then one call per side.
+    book();
+    trial();
+    let (blocks, iters) = if smoke { (4, 20) } else { (8, 50) };
+    let paired = paired_min_ns(blocks, iters, book, trial);
+    let _ = std::fs::remove_dir_all(&dir);
+    paired
+}
+
+fn main() {
+    let cli = Cli::from_env(
+        USAGE,
+        "BENCH_campaign.json",
+        &["--assert-speedup", "--assert-trial-savings", "--worker-bin"],
+        &[],
+    );
+    let (out, smoke) = (&cli.out, cli.smoke);
+    let assert_speedup: Option<f64> = cli.value("--assert-speedup");
+    let assert_trial_savings: Option<f64> = cli.value("--assert-trial-savings");
+    let worker_bin: Option<PathBuf> = cli.value("--worker-bin");
     let workload = if smoke {
         Workload { cells: 16, sleep_floor_ms: 1, sleep_spread_ms: 5 }
     } else {
@@ -327,7 +405,7 @@ fn main() {
         note: "per-cell-barrier fan-out vs campaign-wide work-stealing pool; \
                regenerate with `cargo run --release -p sefi-bench --bin bench_campaign`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host_threads: host_threads(),
         cells: plans.len(),
         total_trials,
         barrier_wall_ms: barrier_wall,
@@ -338,41 +416,37 @@ fn main() {
         sharded,
         sharded_identical,
     };
-    let text = serde_json::to_string_pretty(&result).expect("serialize bench file");
-    std::fs::write(&out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    write_json(out, &result);
     println!("  pool speedup at {max_threads} threads: {speedup:.2}x; tables identical: {tables_identical}");
 
-    if !tables_identical {
-        eprintln!("  FAIL: rendered tables differ across modes/thread counts");
-        std::process::exit(1);
-    }
-    if !result.sharded_identical {
-        eprintln!("  FAIL: sharded CSVs differ across process counts");
-        std::process::exit(1);
-    }
-    if !result.adaptive.verdicts_match {
-        eprintln!("  FAIL: adaptive sweep flipped a fixed-budget collapse verdict");
-        std::process::exit(1);
-    }
+    let (bookkeep_ns, trial_ns) = telemetry_overhead(smoke);
+    println!(
+        "  telemetry overhead: {:.2} µs bookkeeping vs {:.1} µs micro trial ({:.2}%)",
+        bookkeep_ns / 1e3,
+        trial_ns / 1e3,
+        100.0 * bookkeep_ns / trial_ns
+    );
+
+    let mut gates = Gates::default();
+    gates.check("rendered tables identical across modes and thread counts", tables_identical);
+    gates.check("sharded CSVs identical across process counts", result.sharded_identical);
+    gates.check("adaptive sweep keeps every collapse verdict", result.adaptive.verdicts_match);
     if let Some(want) = assert_speedup {
-        let ok = speedup >= want;
-        println!(
-            "  assert speedup {speedup:.2} >= {want:.2} ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            std::process::exit(1);
-        }
+        gates.floor("speedup", speedup, want);
     }
     if let Some(want) = assert_trial_savings {
-        let got = result.adaptive.savings;
-        let ok = got >= want;
-        println!(
-            "  assert trial savings {got:.2} >= {want:.2} ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            std::process::exit(1);
-        }
+        gates.floor("trial savings", result.adaptive.savings, want);
+    }
+    gates.check("telemetry bookkeeping < 1% of a micro trial", bookkeep_ns < 0.01 * trial_ns);
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_campaign.json"
+        ));
     }
 }

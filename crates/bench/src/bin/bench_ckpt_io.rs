@@ -8,14 +8,14 @@
 //! and exactly one payload section. Both sides are measured from disk and
 //! in memory, alongside full encode/decode throughput so the per-section
 //! bookkeeping overhead stays visible.
-//!
-//! Usage:
-//!   bench_ckpt_io [--out PATH] [--smoke] [--assert-lazy-speedup FACTOR]
 
+use sefi_bench::harness::{host_threads, time_ns, write_json, Cli, Gates};
 use sefi_bench::layered_checkpoint;
 use sefi_hdf5::{Dtype, H5File};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+const USAGE: &str = "bench_ckpt_io [--out PATH] [--smoke] [--assert-lazy-speedup FACTOR]";
 
 /// One measured operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,40 +52,10 @@ struct BenchFile {
     lazy_speedup_vs_v1_disk_load: f64,
 }
 
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_ckpt_io.json".to_string();
-    let mut smoke = false;
-    let mut assert_lazy: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            "--assert-lazy-speedup" => {
-                i += 1;
-                assert_lazy = Some(args[i].parse().expect("speedup factor"));
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
+    let cli = Cli::from_env(USAGE, "BENCH_ckpt_io.json", &["--assert-lazy-speedup"], &[]);
+    let assert_lazy: Option<f64> = cli.value("--assert-lazy-speedup");
+    let (out, smoke) = (&cli.out, cli.smoke);
     let per_op = if smoke { Duration::from_millis(40) } else { Duration::from_millis(400) };
 
     // 32 layers × 4096 f32 weights + biases ≈ 0.5 MiB payload over 64
@@ -115,35 +85,35 @@ fn main() {
 
     record(
         "v1_encode",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(std::hint::black_box(&file).to_bytes());
         }),
         true,
     );
     record(
         "v2_encode",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(std::hint::black_box(&file).to_bytes_v2());
         }),
         true,
     );
     let v1_decode = record(
         "v1_decode_full",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(H5File::from_bytes(std::hint::black_box(&v1)).unwrap());
         }),
         true,
     );
     record(
         "v2_decode_full",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(H5File::from_bytes(std::hint::black_box(&v2)).unwrap());
         }),
         true,
     );
     let v2_lazy = record(
         "v2_lazy_single_dataset",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             let mut indexed = H5File::open_indexed(std::hint::black_box(&v2_path)).unwrap();
             std::hint::black_box(indexed.dataset(target).unwrap());
         }),
@@ -151,7 +121,7 @@ fn main() {
     );
     let v1_disk = record(
         "v1_disk_single_dataset",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             let f = H5File::load(std::hint::black_box(&v1_path)).unwrap();
             std::hint::black_box(f.dataset(target).unwrap().clone());
         }),
@@ -165,7 +135,7 @@ fn main() {
         note: "v1 vs v2 checkpoint container I/O; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_ckpt_io`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host_threads: host_threads(),
         fixture_datasets: 64,
         v1_bytes: v1.len(),
         v2_bytes: v2.len(),
@@ -173,22 +143,25 @@ fn main() {
         lazy_speedup_vs_v1_full_decode: v1_decode / v2_lazy,
         lazy_speedup_vs_v1_disk_load: v1_disk / v2_lazy,
     };
-    let text = serde_json::to_string_pretty(&result).expect("serialize bench file");
-    std::fs::write(&out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    write_json(out, &result);
     println!(
         "  lazy single-dataset speedup: {:.2}x vs v1 full decode, {:.2}x vs v1 disk load",
         result.lazy_speedup_vs_v1_full_decode, result.lazy_speedup_vs_v1_disk_load
     );
 
+    let mut gates = Gates::default();
     if let Some(want) = assert_lazy {
-        let got = result.lazy_speedup_vs_v1_full_decode;
-        let ok = got >= want;
-        println!(
-            "  assert lazy speedup {got:.2} >= {want:.2} ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            std::process::exit(1);
-        }
+        gates.floor("lazy speedup", result.lazy_speedup_vs_v1_full_decode, want);
+    }
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_ckpt_io.json"
+        ));
     }
 }

@@ -11,16 +11,16 @@
 //! fail the run if violated: salvage of the damaged fixture must restore
 //! the pristine bytes exactly, and the fleet scan must produce identical
 //! per-file verdicts at every worker count.
-//!
-//! Usage:
-//!   bench_forensics [--out PATH] [--smoke]
 
 use rayon::prelude::*;
+use sefi_bench::harness::{host_threads, time_ns, write_json, Cli, Gates};
 use sefi_bench::layered_checkpoint;
 use sefi_hdf5::forensics::{salvage, scan_bytes, ScanReport};
 use sefi_hdf5::{Dtype, EccSidecar, FileIndex, H5File, LoadPolicy};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+const USAGE: &str = "bench_forensics [--out PATH] [--smoke]";
 
 /// One measured operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,19 +69,6 @@ struct BenchFile {
     correct_overhead_clean: f64,
 }
 
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 /// Sorted per-file scan verdicts of one fleet sweep — the value that must
 /// be identical at every worker count.
 fn fleet_sweep(files: &[(std::path::PathBuf, Vec<u8>)]) -> Vec<(String, bool, usize)> {
@@ -96,21 +83,8 @@ fn fleet_sweep(files: &[(std::path::PathBuf, Vec<u8>)]) -> Vec<(String, bool, us
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_forensics.json".to_string();
-    let mut smoke = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
+    let cli = Cli::from_env(USAGE, "BENCH_forensics.json", &[], &[]);
+    let (out, smoke) = (&cli.out, cli.smoke);
     let per_op = if smoke { Duration::from_millis(40) } else { Duration::from_millis(400) };
 
     // Same fixture scale as bench_ckpt_io: 32 layers × 4096 f32 weights.
@@ -144,14 +118,14 @@ fn main() {
 
     record(
         "protect",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(EccSidecar::protect(std::hint::black_box(&v2)).unwrap());
         }),
         true,
     );
     record(
         "sidecar_decode",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(
                 EccSidecar::from_bytes(std::hint::black_box(&sidecar_ser)).unwrap(),
             );
@@ -160,28 +134,28 @@ fn main() {
     );
     record(
         "scan_clean",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(scan_bytes(std::hint::black_box(&v2), None));
         }),
         true,
     );
     record(
         "scan_clean_ecc",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(scan_bytes(std::hint::black_box(&v2), Some(&sidecar)));
         }),
         true,
     );
     record(
         "scan_damaged_ecc",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(scan_bytes(std::hint::black_box(&damaged), Some(&sidecar)));
         }),
         true,
     );
     let quarantine_clean = record(
         "load_quarantine_clean",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(
                 H5File::from_bytes_with_policy(std::hint::black_box(&v2), LoadPolicy::Quarantine)
                     .unwrap(),
@@ -191,7 +165,7 @@ fn main() {
     );
     let correct_clean = record(
         "load_correct_clean",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(
                 H5File::from_bytes_with_ecc(
                     std::hint::black_box(&v2),
@@ -205,7 +179,7 @@ fn main() {
     );
     record(
         "load_correct_damaged",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(
                 H5File::from_bytes_with_ecc(
                     std::hint::black_box(&damaged),
@@ -219,7 +193,7 @@ fn main() {
     );
     record(
         "salvage_damaged_ecc",
-        time_ns(per_op, 100_000, || {
+        time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(
                 salvage(std::hint::black_box(&damaged), Some(&sidecar), 0).unwrap(),
             );
@@ -227,13 +201,16 @@ fn main() {
         true,
     );
 
-    // Determinism check 1: salvage of the damaged twin restores pristine.
+    // Determinism check 1: salvage of the damaged twin restores pristine
+    // bytes exactly; all damage is single-bit, so nothing may be lost.
+    let mut gates = Gates::default();
     let (salvaged, report) = salvage(&damaged, Some(&sidecar), 0).unwrap();
-    assert!(report.zero_filled.is_empty(), "all damage is single-bit, nothing may be lost");
-    assert_eq!(salvaged.to_bytes_v2(), v2, "salvage must restore the pristine bytes exactly");
-    println!(
-        "  salvage restores pristine bytes: ok ({} sections corrected)",
-        report.corrected.len()
+    gates.check(
+        format_args!(
+            "salvage restores pristine bytes ({} sections corrected)",
+            report.corrected.len()
+        ),
+        report.zero_filled.is_empty() && salvaged.to_bytes_v2() == v2,
     );
 
     // Fleet sweep: a directory of checkpoints (every third one damaged)
@@ -248,13 +225,14 @@ fn main() {
     let reference = fleet_sweep(&files);
     let mut fleet = Vec::new();
     let mut base_ns = 0.0;
+    let mut fleet_identical = true;
     for workers in [1usize, 2, 4, 8] {
         std::env::set_var("RAYON_NUM_THREADS", workers.to_string());
-        let ns = time_ns(per_op, 10_000, || {
+        let ns = time_ns(per_op, 3, 10_000, || {
             std::hint::black_box(fleet_sweep(std::hint::black_box(&files)));
         });
         // Determinism check 2: identical verdicts at every worker count.
-        assert_eq!(fleet_sweep(&files), reference, "fleet sweep must not depend on workers");
+        fleet_identical &= fleet_sweep(&files) == reference;
         if workers == 1 {
             base_ns = ns;
         }
@@ -263,7 +241,7 @@ fn main() {
         fleet.push(FleetRow { workers, ns_per_sweep: ns, speedup_vs_1: speedup });
     }
     std::env::remove_var("RAYON_NUM_THREADS");
-    println!("  fleet verdicts identical across 1/2/4/8 workers: ok");
+    gates.check("fleet verdicts identical across 1/2/4/8 workers", fleet_identical);
 
     let result = BenchFile {
         schema: 1,
@@ -271,7 +249,7 @@ fn main() {
                fleet-scan scaling; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_forensics`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host_threads: host_threads(),
         v2_bytes: v2.len(),
         sidecar_bytes: sidecar_ser.len(),
         sidecar_overhead: sidecar_ser.len() as f64 / v2.len() as f64,
@@ -280,10 +258,20 @@ fn main() {
         fleet,
         correct_overhead_clean: correct_clean / quarantine_clean,
     };
-    let text = serde_json::to_string_pretty(&result).expect("serialize bench file");
-    std::fs::write(&out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    write_json(out, &result);
     println!(
         "  correct-policy overhead on a clean load: {:.2}x vs quarantine",
         result.correct_overhead_clean
     );
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_forensics.json"
+        ));
+    }
 }

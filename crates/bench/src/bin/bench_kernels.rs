@@ -1,9 +1,8 @@
-//! Standalone kernel-throughput benchmark (no Criterion): the rayon
-//! dispatch cost, GEMM, conv2d forward+backward, and full training epochs
-//! per model, written to a machine-readable trajectory file at the repo
-//! root.
+//! Kernel-throughput benchmark: the rayon dispatch cost, GEMM, conv2d
+//! forward+backward, and full training epochs per model, written to a
+//! machine-readable trajectory file at the repo root.
 //!
-//! Unlike the Criterion benches, this binary is meant to be run twice —
+//! Unlike the other `bench_*` bins, this one is meant to be run twice —
 //! once with `--label before` on the previous kernels and once with
 //! `--label after` on the current ones — merging both measurements into
 //! `BENCH_kernels.json` so the perf trajectory of the hot path survives
@@ -13,21 +12,19 @@
 //! resolved mode, the microkernel ISA it dispatched to, and the detected
 //! CPU features are recorded into the file so every number stays
 //! attributable to the hardware and generation that produced it.
-//!
-//! Usage:
-//!   bench_kernels --label before|after [--out PATH] [--smoke]
-//!                 [--assert-speedup ENTRY:FACTOR]...
 
 use rayon::prelude::*;
+use sefi_bench::harness::{host_threads, kernel_facts, time_ns, write_json, Cli, Gates};
 use sefi_data::{DataConfig, SyntheticCifar10};
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_models::{ModelConfig, ModelKind};
-use sefi_tensor::{
-    active_isa_name, conv2d, conv2d_backward, cpu_features, kernel_mode, matmul, matmul_a_bt,
-    matmul_at_b, ConvSpec, KernelMode, Tensor,
-};
+use sefi_tensor::{conv2d, conv2d_backward, matmul, matmul_a_bt, matmul_at_b, ConvSpec, Tensor};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::str::FromStr;
+use std::time::Duration;
+
+const USAGE: &str = "bench_kernels --label before|after [--out PATH] [--smoke] \
+                     [--assert-speedup ENTRY:FACTOR]...";
 
 /// One benchmarked operation's before/after record. Zero means "not yet
 /// measured" — the serde shim has no field-skipping, so sentinels keep the
@@ -124,11 +121,6 @@ impl BenchFile {
             0.0
         };
     }
-
-    fn save(&self, path: &str) {
-        let text = serde_json::to_string_pretty(self).expect("serialize bench file");
-        std::fs::write(path, text + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,17 +129,32 @@ enum Label {
     After,
 }
 
-/// Mean ns/iter of `f`, timed until `min_total` has elapsed (at least
-/// `min_iters`, at most `max_iters` runs) after one warmup call.
-fn time_ns(min_total: Duration, min_iters: u64, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in buffers, trigger lazy init
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < min_iters || start.elapsed() < min_total) {
-        f();
-        iters += 1;
+impl FromStr for Label {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Label, String> {
+        match s {
+            "before" => Ok(Label::Before),
+            "after" => Ok(Label::After),
+            other => Err(format!("must be before|after, got {other}")),
+        }
     }
-    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// One `--assert-speedup ENTRY:FACTOR` floor.
+struct SpeedupFloor {
+    entry: String,
+    factor: f64,
+}
+
+impl FromStr for SpeedupFloor {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SpeedupFloor, String> {
+        let (entry, factor) = s.split_once(':').ok_or("expected ENTRY:FACTOR")?;
+        let factor = factor.parse().map_err(|e| format!("speedup factor: {e}"))?;
+        Ok(SpeedupFloor { entry: entry.to_string(), factor })
+    }
 }
 
 /// Deterministic pseudo-random tensor (same values in every build).
@@ -296,38 +303,11 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut label = None;
-    let mut out = "BENCH_kernels.json".to_string();
-    let mut smoke = false;
-    let mut asserts: Vec<(String, f64)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--label" => {
-                i += 1;
-                label = Some(match args[i].as_str() {
-                    "before" => Label::Before,
-                    "after" => Label::After,
-                    other => panic!("--label must be before|after, got {other}"),
-                });
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            "--assert-speedup" => {
-                i += 1;
-                let (name, factor) =
-                    args[i].split_once(':').expect("--assert-speedup ENTRY:FACTOR");
-                asserts.push((name.to_string(), factor.parse().expect("speedup factor")));
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
-    let label = label.expect("--label before|after is required");
+    let cli = Cli::from_env(USAGE, "BENCH_kernels.json", &["--label", "--assert-speedup"], &[]);
+    let (out, smoke) = (&cli.out, cli.smoke);
+    let label: Label =
+        cli.value("--label").unwrap_or_else(|| cli.fail("--label before|after is required"));
+    let floors: Vec<SpeedupFloor> = cli.values("--assert-speedup");
 
     let budget = if smoke {
         Budget {
@@ -345,41 +325,39 @@ fn main() {
         }
     };
 
-    let mode = match kernel_mode() {
-        KernelMode::Simd => "simd",
-        KernelMode::Tiled => "tiled",
-        KernelMode::Naive => "naive",
-    };
-    let isa = if kernel_mode() == KernelMode::Simd { active_isa_name() } else { "scalar" };
+    let kernels = kernel_facts();
     println!(
-        "bench_kernels: label={label:?} kernels={mode} isa={isa} cpu={} smoke={smoke} -> {out}",
-        cpu_features()
+        "bench_kernels: label={label:?} kernels={} isa={} cpu={} smoke={smoke} -> {out}",
+        kernels.mode, kernels.isa, kernels.cpu_features
     );
-    let mut file = BenchFile::load_or_new(&out);
+    let mut file = BenchFile::load_or_new(out);
     file.schema = 2;
-    file.kernel_mode = mode.to_string();
-    file.isa = isa.to_string();
-    file.cpu_features = cpu_features().to_string();
-    file.host_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    file.kernel_mode = kernels.mode.to_string();
+    file.isa = kernels.isa.to_string();
+    file.cpu_features = kernels.cpu_features.to_string();
+    file.host_threads = host_threads();
     run_benches(&mut file, label, &budget);
-    file.save(&out);
+    write_json(out, &file);
 
-    let mut failed = false;
-    for (name, want) in &asserts {
+    let mut gates = Gates::default();
+    for floor in &floors {
         let got = file
             .entries
             .iter()
-            .find(|e| &e.name == name)
-            .unwrap_or_else(|| panic!("--assert-speedup: no entry {name}"))
+            .find(|e| e.name == floor.entry)
+            .unwrap_or_else(|| cli.fail(&format!("--assert-speedup: no entry {}", floor.entry)))
             .speedup;
-        let ok = got >= *want;
-        println!(
-            "  assert {name}: speedup {got:.2} >= {want:.2} ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        failed |= !ok;
+        gates.floor(&format!("{}: speedup", floor.entry), got, floor.factor);
     }
-    if failed {
-        std::process::exit(1);
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_kernels.json"
+        ));
     }
 }

@@ -10,14 +10,14 @@
 //! container overhead) and the decode/load rows track how the element
 //! width scales through the full v2 parse and the indexed single-dataset
 //! path.
-//!
-//! Usage:
-//!   bench_precision [--out PATH] [--smoke] [--assert-size-order]
 
+use sefi_bench::harness::{host_threads, time_ns, write_json, Cli, Gates};
 use sefi_bench::layered_checkpoint;
 use sefi_hdf5::{Dtype, H5File};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+const USAGE: &str = "bench_precision [--out PATH] [--smoke] [--assert-size-order]";
 
 /// One storage format's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,37 +53,9 @@ struct BenchFile {
     formats: Vec<FormatEntry>,
 }
 
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_precision.json".to_string();
-    let mut smoke = false;
-    let mut assert_order = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            "--assert-size-order" => assert_order = true,
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
+    let cli = Cli::from_env(USAGE, "BENCH_precision.json", &[], &["--assert-size-order"]);
+    let (out, smoke) = (&cli.out, cli.smoke);
     let per_op = if smoke { Duration::from_millis(40) } else { Duration::from_millis(400) };
 
     const LAYERS: usize = 32;
@@ -110,13 +82,13 @@ fn main() {
         file.save_v2(&path).expect("write fixture");
         let target = "model/layer17/W";
 
-        let decode = time_ns(per_op, 100_000, || {
+        let decode = time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(H5File::from_bytes(std::hint::black_box(&v2)).unwrap());
         });
-        let disk = time_ns(per_op, 100_000, || {
+        let disk = time_ns(per_op, 3, 100_000, || {
             std::hint::black_box(H5File::load(std::hint::black_box(&path)).unwrap());
         });
-        let lazy = time_ns(per_op, 100_000, || {
+        let lazy = time_ns(per_op, 3, 100_000, || {
             let mut indexed = H5File::open_indexed(std::hint::black_box(&path)).unwrap();
             std::hint::black_box(indexed.dataset(target).unwrap());
         });
@@ -142,46 +114,45 @@ fn main() {
         note: "v2 checkpoint size/load-time per storage dtype; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_precision`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host_threads: host_threads(),
         fixture_datasets,
         fixture_elements,
         formats,
     };
-    let text = serde_json::to_string_pretty(&result).expect("serialize bench file");
-    std::fs::write(&out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    write_json(out, &result);
 
-    if assert_order {
+    let mut gates = Gates::default();
+    if cli.switch("--assert-size-order") {
         // The size floor: each format must cost at least element_bytes per
         // element (no silent payload truncation), and the curve must be
         // non-decreasing in element width — a regression in either
         // direction means the encoder dropped sections or stopped packing
         // at the native width.
-        let mut ok = true;
         for e in &result.formats {
             let floor = fixture_elements * e.element_bytes;
-            let within = e.v2_bytes >= floor;
-            println!(
-                "  size floor {:>5}: {} >= {floor} ... {}",
-                e.format,
-                e.v2_bytes,
-                if within { "ok" } else { "FAIL" }
+            gates.check(
+                format_args!("size floor {:>5}: {} >= {floor}", e.format, e.v2_bytes),
+                e.v2_bytes >= floor,
             );
-            ok &= within;
         }
         for pair in result.formats.windows(2) {
             let ordered = pair[0].element_bytes < pair[1].element_bytes
                 || pair[0].v2_bytes == pair[1].v2_bytes;
-            let monotone = pair[0].v2_bytes <= pair[1].v2_bytes && ordered;
-            println!(
-                "  size order {} <= {} ... {}",
-                pair[0].format,
-                pair[1].format,
-                if monotone { "ok" } else { "FAIL" }
+            gates.check(
+                format_args!("size order {} <= {}", pair[0].format, pair[1].format),
+                pair[0].v2_bytes <= pair[1].v2_bytes && ordered,
             );
-            ok &= monotone;
         }
-        if !ok {
-            std::process::exit(1);
-        }
+    }
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_precision.json"
+        ));
     }
 }

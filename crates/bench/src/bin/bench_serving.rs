@@ -7,11 +7,8 @@
 //! the same replica. Results land in `BENCH_serving.json` at the repo
 //! root; CI re-runs the binary at `--smoke` length and asserts the
 //! batching speedup and guard-overhead tripwires still clear.
-//!
-//! Usage:
-//!   bench_serving [--out PATH] [--smoke]
-//!                 [--assert-speedup FACTOR] [--assert-guard-overhead PCT]
 
+use sefi_bench::harness::{host_threads, kernel_facts, paired_min_ns, write_json, Cli, Gates};
 use sefi_frameworks::{load_checkpoint, save_checkpoint, FrameworkKind};
 use sefi_hdf5::{Dtype, EccSidecar, H5File};
 use sefi_models::{build, ModelConfig, ModelKind};
@@ -20,11 +17,14 @@ use sefi_serve::{
     calibrate_from_clean_bytes, corpus_images, BatchQueue, EngineConfig, ReplicaSpec, Request,
     ServeEngine,
 };
-use sefi_tensor::{active_isa_name, cpu_features, kernel_mode, KernelMode, Tensor};
+use sefi_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+const USAGE: &str = "bench_serving [--out PATH] [--smoke] [--assert-speedup FACTOR] \
+                     [--assert-guard-overhead PCT]";
 
 const INPUT: usize = 16;
 const DYN_BATCH: usize = 32;
@@ -240,26 +240,20 @@ fn guard_overhead_pct(fixture: &Fixture, iters: usize) -> f64 {
         std::hint::black_box(net.forward(x.clone(), false));
         net.forward_guarded(x.clone(), &env).expect("clean forward");
     }
-    // Alternate timed *blocks* (not single calls) so scheduler noise and
-    // clock drift hit both sides equally while each measurement still
-    // amortises over many forwards; keep the fastest block per side —
-    // one-core hosts get preempted, and preemption only ever adds time.
-    let block = (iters / 4).max(5);
-    let mut plain_ns = u128::MAX;
-    let mut guarded_ns = u128::MAX;
-    for _ in 0..4 {
-        let t0 = Instant::now();
-        for _ in 0..block {
-            std::hint::black_box(net.forward(x.clone(), false));
-        }
-        plain_ns = plain_ns.min(t0.elapsed().as_nanos());
-        let t1 = Instant::now();
-        for _ in 0..block {
-            std::hint::black_box(net.forward_guarded(x.clone(), &env).expect("clean forward"));
-        }
-        guarded_ns = guarded_ns.min(t1.elapsed().as_nanos());
-    }
-    100.0 * (guarded_ns as f64 - plain_ns as f64) / plain_ns as f64
+    // `net` is borrowed mutably by both sides, one call at a time.
+    let net = std::cell::RefCell::new(net);
+    let (plain_ns, guarded_ns) = paired_min_ns(
+        4,
+        (iters / 4).max(5),
+        || {
+            std::hint::black_box(net.borrow_mut().forward(x.clone(), false));
+        },
+        || {
+            let y = net.borrow_mut().forward_guarded(x.clone(), &env).expect("clean forward");
+            std::hint::black_box(y);
+        },
+    );
+    100.0 * (guarded_ns - plain_ns) / plain_ns
 }
 
 /// Clean-batch vs trip-reload-reserve latency on a two-replica pool.
@@ -281,42 +275,21 @@ fn failover_latency(fixture: &Fixture) -> (f64, f64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_serving.json".to_string();
-    let mut smoke = false;
-    let mut assert_speedup: Option<f64> = None;
-    let mut assert_guard: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--smoke" => smoke = true,
-            "--assert-speedup" => {
-                i += 1;
-                assert_speedup = Some(args[i].parse().expect("speedup factor"));
-            }
-            "--assert-guard-overhead" => {
-                i += 1;
-                assert_guard = Some(args[i].parse().expect("overhead percent"));
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
+    let cli = Cli::from_env(
+        USAGE,
+        "BENCH_serving.json",
+        &["--assert-speedup", "--assert-guard-overhead"],
+        &[],
+    );
+    let (out, smoke) = (&cli.out, cli.smoke);
+    let assert_speedup: Option<f64> = cli.value("--assert-speedup");
+    let assert_guard: Option<f64> = cli.value("--assert-guard-overhead");
 
     let (drain_n, paced_n, guard_iters) = if smoke { (768, 256, 40) } else { (4096, 1024, 200) };
-    let mode = match kernel_mode() {
-        KernelMode::Simd => "simd",
-        KernelMode::Tiled => "tiled",
-        KernelMode::Naive => "naive",
-    };
-    let isa = if kernel_mode() == KernelMode::Simd { active_isa_name() } else { "scalar" };
+    let kernels = kernel_facts();
     println!(
-        "bench_serving: kernels={mode} isa={isa} cpu={} smoke={smoke} -> {out}",
-        cpu_features()
+        "bench_serving: kernels={} isa={} cpu={} smoke={smoke} -> {out}",
+        kernels.mode, kernels.isa, kernels.cpu_features
     );
     let fixture = Fixture::mint(64);
 
@@ -362,10 +335,10 @@ fn main() {
         note: "serving-path throughput/latency; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_serving`"
             .into(),
-        kernel_mode: mode.to_string(),
-        isa: isa.to_string(),
-        cpu_features: cpu_features().to_string(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        kernel_mode: kernels.mode.to_string(),
+        isa: kernels.isa.to_string(),
+        cpu_features: kernels.cpu_features.to_string(),
+        host_threads: host_threads(),
         batch1_rps_4w: batch1,
         dynamic_rps_4w: dynamic,
         batching_speedup_4w: speedup,
@@ -374,27 +347,24 @@ fn main() {
         reload_failover_ns: failover_ns,
         workers: points,
     };
-    let text = serde_json::to_string_pretty(&file).expect("serialize bench file");
-    std::fs::write(&out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    write_json(out, &file);
 
-    let mut failed = false;
+    let mut gates = Gates::default();
     if let Some(want) = assert_speedup {
-        let ok = speedup >= want;
-        println!(
-            "  assert batching speedup {speedup:.2} >= {want:.2} ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        failed |= !ok;
+        gates.floor("batching speedup", speedup, want);
     }
     if let Some(want) = assert_guard {
-        let ok = overhead <= want;
-        println!(
-            "  assert guard overhead {overhead:.2}% <= {want:.2}% ... {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        failed |= !ok;
+        gates.ceiling("guard overhead (%)", overhead, want);
     }
-    if failed {
-        std::process::exit(1);
+    gates.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_file_matches_schema() {
+        sefi_bench::harness::assert_schema_roundtrip::<super::BenchFile>(include_str!(
+            "../../../../BENCH_serving.json"
+        ));
     }
 }

@@ -1,33 +1,22 @@
-//! Benchmark support: shared fixtures for the Criterion benches.
+//! Benchmark support for the `bench_*` bins: the shared [`harness`]
+//! (timers, command line, host facts, JSON writer, gate reporter) and the
+//! checkpoint fixtures the container benches measure.
 //!
-//! The benches live in `benches/`:
-//! * `injector` — corruption throughput per mode/precision, plus the
-//!   N-EV-threshold ablation (DESIGN.md §4.6).
-//! * `checkpoint` — container encode/decode/save throughput.
-//! * `training` — per-epoch training cost per model.
-//! * `experiments` — one benchmark per paper table/figure, driving the
-//!   experiment harness at micro scale.
+//! Each bin writes one `BENCH_*.json` at the repo root:
+//! * `bench_kernels` — rayon dispatch, GEMM, conv and per-model epochs;
+//! * `bench_ckpt_io` — v1 vs v2 container encode/decode and lazy access;
+//! * `bench_precision` — v2 size and load time per storage dtype;
+//! * `bench_forensics` — sidecar minting, scans, ECC loads, fleet sweeps;
+//! * `bench_campaign` — scheduler pool vs barrier, adaptive stopping,
+//!   sharded workers, and the telemetry-overhead bound;
+//! * `bench_serving` — batching, worker scaling, guard overhead, failover.
+
+pub mod harness;
 
 use sefi_hdf5::{Dataset, Dtype, H5File};
 
-/// A synthetic checkpoint with `entries` float values spread over several
-/// datasets, mimicking a small model file.
-pub fn synthetic_checkpoint(entries: usize, dtype: Dtype) -> H5File {
-    let mut f = H5File::new();
-    let per = (entries / 4).max(1);
-    for (i, name) in ["conv1/W", "conv1/b", "fc/W", "fc/b"].iter().enumerate() {
-        let values: Vec<f32> = (0..per).map(|k| (((k + i * 7) as f32) * 0.37).sin()).collect();
-        f.create_dataset(
-            &format!("model/{name}"),
-            Dataset::from_f32(&values, &[per], dtype).unwrap(),
-        )
-        .unwrap();
-    }
-    f
-}
-
-/// A deeper checkpoint: `layers` conv-style layers of `per_layer` values
-/// each (plus a bias per layer), mimicking a real model file where lazy
+/// A checkpoint of `layers` conv-style layers of `per_layer` values each
+/// (plus a bias per layer), mimicking a real model file where lazy
 /// single-dataset access only needs a sliver of the payload.
 pub fn layered_checkpoint(layers: usize, per_layer: usize, dtype: Dtype) -> H5File {
     let mut f = H5File::new();
@@ -51,13 +40,6 @@ pub fn layered_checkpoint(layers: usize, per_layer: usize, dtype: Dtype) -> H5Fi
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixture_has_requested_magnitude() {
-        let f = synthetic_checkpoint(1000, Dtype::F64);
-        assert_eq!(f.total_entries(), 1000);
-        assert_eq!(f.dataset_paths().len(), 4);
-    }
 
     #[test]
     fn layered_fixture_shape() {
