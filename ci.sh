@@ -41,6 +41,13 @@ SEFI_KERNELS=simd cargo run -q --release -p sefi-experiments --bin fig2_bit_rang
 SEFI_KERNELS=naive cargo run -q --release -p sefi-experiments --bin fig2_bit_ranges -- \
   --budget smoke --results-dir "$kern_b" > /dev/null
 cmp "$kern_a/fig2.csv" "$kern_b/fig2.csv"
+# fig2 is Chainer/AlexNet only; table5 has resnet50 rows, so batch norm and
+# the residual join are held to the same invariance.
+SEFI_KERNELS=simd cargo run -q --release -p sefi-experiments --bin table5_rwc -- \
+  --budget smoke --results-dir "$kern_a" > /dev/null
+SEFI_KERNELS=naive cargo run -q --release -p sefi-experiments --bin table5_rwc -- \
+  --budget smoke --results-dir "$kern_b" > /dev/null
+cmp "$kern_a/table5.csv" "$kern_b/table5.csv"
 rm -rf "$kern_a" "$kern_b"
 
 echo "== kernel bench smoke =="

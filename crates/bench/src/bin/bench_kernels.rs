@@ -1,6 +1,7 @@
 //! Kernel-throughput benchmark: the rayon dispatch cost, GEMM, conv2d
-//! forward+backward, and full training epochs per model, written to a
-//! machine-readable trajectory file at the repo root.
+//! forward+backward, per-layer BN/bottleneck/ReLU training steps, and full
+//! training epochs per model, written to a machine-readable trajectory file
+//! at the repo root.
 //!
 //! Unlike the other `bench_*` bins, this one is meant to be run twice —
 //! once with `--label before` on the previous kernels and once with
@@ -18,6 +19,8 @@ use sefi_bench::harness::{host_threads, kernel_facts, time_ns, write_json, Cli, 
 use sefi_data::{DataConfig, SyntheticCifar10};
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_models::{ModelConfig, ModelKind};
+use sefi_nn::{BatchNorm2d, Conv2d, Layer, ReLU, Residual};
+use sefi_rng::DetRng;
 use sefi_tensor::{conv2d, conv2d_backward, matmul, matmul_a_bt, matmul_at_b, ConvSpec, Tensor};
 use serde::{Deserialize, Serialize};
 use std::str::FromStr;
@@ -287,6 +290,51 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         });
         file.record("conv_fwd_bwd_8x16x16", flops, ns, label);
         println!("  conv_fwd_bwd         {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
+    }
+
+    // Per-layer training steps at a res2b-shaped activation (batch 8,
+    // 16 channels, 16×16): batch norm, a whole identity-shortcut bottleneck
+    // with its three BNs, and ReLU. Inputs are Gaussian, so activation signs
+    // are as unpredictable as in a network (`fill`'s signs follow a short
+    // period a branch predictor learns). Layers consume their input and
+    // upstream gradient, so each iteration also pays two clones (wall-clock
+    // rows).
+    {
+        let shape = [8usize, 16, 16, 16];
+        let mut rng = DetRng::new(1);
+        let mut gaussian = || {
+            let mut v = vec![0.0f32; shape.iter().product()];
+            rng.fill_normal(&mut v, 0.0, 1.0);
+            Tensor::from_vec(v, &shape)
+        };
+        let (x, dout) = (gaussian(), gaussian());
+        let bottleneck = Residual::new(
+            "res2b",
+            vec![
+                Box::new(Conv2d::new("conv1", 16, 4, 1, 1, 0, &mut rng)),
+                Box::new(BatchNorm2d::new("bn1", 4)),
+                Box::new(ReLU::new("relu1")),
+                Box::new(Conv2d::new("conv2", 4, 4, 3, 1, 1, &mut rng)),
+                Box::new(BatchNorm2d::new("bn2", 4)),
+                Box::new(ReLU::new("relu2")),
+                Box::new(Conv2d::new("conv3", 4, 16, 1, 1, 0, &mut rng)),
+                Box::new(BatchNorm2d::new("bn3", 16)),
+            ],
+            vec![],
+        );
+        let rows: [(&str, Box<dyn Layer>); 3] = [
+            ("bn_fwd_bwd_8x16x16x16", Box::new(BatchNorm2d::new("bn", 16))),
+            ("bottleneck_fwd_bwd_8x16x16x16", Box::new(bottleneck)),
+            ("relu_fwd_bwd_8x16x16x16", Box::new(ReLU::new("relu"))),
+        ];
+        for (name, mut layer) in rows {
+            let ns = time_ns(budget.conv_time, 3, 100_000, || {
+                std::hint::black_box(layer.forward(std::hint::black_box(x.clone()), true));
+                std::hint::black_box(layer.backward(std::hint::black_box(dout.clone())));
+            });
+            file.record(name, 0.0, ns, label);
+            println!("  {name:<30} {ns:>10.1} ns/iter");
+        }
     }
 
     // Full training epochs, one per model (wall-clock rows: flops = 0).

@@ -22,30 +22,47 @@ impl Layer for ReLU {
         &self.name
     }
 
-    fn forward(&mut self, mut x: Tensor, _train: bool) -> Tensor {
-        // resize + zip instead of clear + push: the mask buffer is reused
-        // across steps and the loop has no per-element capacity check, so
-        // it vectorizes.
-        self.mask.clear();
-        self.mask.resize(x.len(), false);
-        for (v, m) in x.data_mut().iter_mut().zip(&mut self.mask) {
-            let pass = *v > 0.0;
-            *m = pass;
-            if !pass {
-                *v = 0.0;
-            }
-        }
+    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+        relu_forward(x.data_mut(), &mut self.mask, train);
         x
     }
 
     fn backward(&mut self, mut dout: Tensor) -> Tensor {
-        assert_eq!(dout.len(), self.mask.len(), "backward before forward");
-        for (g, &pass) in dout.data_mut().iter_mut().zip(&self.mask) {
-            if !pass {
-                *g = 0.0;
-            }
-        }
+        relu_backward(dout.data_mut(), &self.mask);
         dout
+    }
+}
+
+/// `max(0, x)` in place (`NaN > 0.0` is false, so NaN clamps to zero). A
+/// training forward records in `mask` which elements passed; an eval
+/// forward leaves `mask` empty, so a backward after it trips the "backward
+/// before forward" assert instead of reading a stale mask.
+///
+/// The loops select rather than store conditionally: a select vectorizes
+/// on every target, while a conditional store needs masked vector stores,
+/// which the baseline x86-64 target lacks; there it is a branch that
+/// mispredicts on about half of the random-signed activations. `resize` + `zip` reuses the
+/// mask buffer across steps with no per-element capacity check.
+pub(crate) fn relu_forward(x: &mut [f32], mask: &mut Vec<bool>, train: bool) {
+    mask.clear();
+    if !train {
+        for v in x {
+            *v = if *v > 0.0 { *v } else { 0.0 };
+        }
+        return;
+    }
+    mask.resize(x.len(), false);
+    for (v, m) in x.iter_mut().zip(mask.iter_mut()) {
+        *m = *v > 0.0;
+        *v = if *m { *v } else { 0.0 };
+    }
+}
+
+/// Zero the upstream gradient wherever the training forward clamped.
+pub(crate) fn relu_backward(dout: &mut [f32], mask: &[bool]) {
+    assert_eq!(dout.len(), mask.len(), "backward before forward");
+    for (g, &pass) in dout.iter_mut().zip(mask) {
+        *g = if pass { *g } else { 0.0 };
     }
 }
 
@@ -73,5 +90,15 @@ mod tests {
         let y = r.forward(x, true);
         assert_eq!(y.data()[0], 0.0);
         assert_eq!(y.data()[1], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut r = ReLU::new("r");
+        let _ = r.forward(Tensor::from_vec(vec![-1.0, 2.0], &[2]), true);
+        let y = r.forward(Tensor::from_vec(vec![-1.0, 2.0], &[2]), false);
+        assert_eq!(y.data(), &[0.0, 2.0]);
+        r.backward(Tensor::from_vec(vec![1.0, 1.0], &[2]));
     }
 }

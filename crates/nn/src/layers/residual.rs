@@ -5,6 +5,7 @@
 //! Composite layers prefix their children's parameter names, so checkpoint
 //! paths look like `res2a/conv1/W`.
 
+use super::activation::{relu_backward, relu_forward};
 use super::{Layer, ParamRefMut, StateRefMut};
 use sefi_tensor::Tensor;
 
@@ -16,20 +17,13 @@ pub struct Residual {
     main: Vec<Box<dyn Layer>>,
     shortcut: Vec<Box<dyn Layer>>,
     relu_mask: Vec<bool>,
-    cached_input: Option<Tensor>,
 }
 
 impl Residual {
     /// Build from branch layer stacks. An empty `shortcut` means identity.
     pub fn new(name: &str, main: Vec<Box<dyn Layer>>, shortcut: Vec<Box<dyn Layer>>) -> Self {
         assert!(!main.is_empty(), "residual main branch cannot be empty");
-        Residual {
-            name: name.to_string(),
-            main,
-            shortcut,
-            relu_mask: Vec::new(),
-            cached_input: None,
-        }
+        Residual { name: name.to_string(), main, shortcut, relu_mask: Vec::new() }
     }
 }
 
@@ -39,7 +33,6 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
         let mut m = x.clone();
         for layer in &mut self.main {
             m = layer.forward(m, train);
@@ -57,27 +50,12 @@ impl Layer for Residual {
             s.shape()
         );
         m.add_assign(&s);
-        // Final ReLU.
-        self.relu_mask.clear();
-        self.relu_mask.reserve(m.len());
-        for v in m.data_mut() {
-            let pass = *v > 0.0;
-            self.relu_mask.push(pass);
-            if !pass {
-                *v = 0.0;
-            }
-        }
+        relu_forward(m.data_mut(), &mut self.relu_mask, train);
         m
     }
 
     fn backward(&mut self, mut dout: Tensor) -> Tensor {
-        assert_eq!(dout.len(), self.relu_mask.len(), "backward before forward");
-        self.cached_input.take().expect("backward before forward");
-        for (g, &pass) in dout.data_mut().iter_mut().zip(&self.relu_mask) {
-            if !pass {
-                *g = 0.0;
-            }
-        }
+        relu_backward(dout.data_mut(), &self.relu_mask);
         // Main branch, reversed.
         let mut dm = dout.clone();
         for layer in self.main.iter_mut().rev() {
@@ -186,6 +164,17 @@ mod tests {
         // With identity shortcut the input gradient includes the masked
         // upstream gradient directly, so it cannot be all zeros.
         assert!(dx.data().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut rng = DetRng::new(5);
+        let mut r = block(&mut rng);
+        let x = Tensor::full(&[1, 2, 4, 4], 0.5);
+        let _ = r.forward(x.clone(), true);
+        let y = r.forward(x, false);
+        r.backward(Tensor::full(y.shape(), 1.0));
     }
 
     #[test]
