@@ -1,153 +1,7 @@
-//! Runs every table and figure in sequence (the full campaign).
-//!
-//! Each phase below submits *all* of its cells as one plan to the
-//! work-stealing trial scheduler ([`Prebaked::run_plan`]): the table
-//! builders declare every `(cell, trial)` pair up front, the pool claims
-//! trials grain-1 off a shared cursor, and outcomes are scattered back
-//! per cell in trial-index order. There is no barrier between the cells
-//! of a phase — a long AlexNet cell no longer idles the cores that
-//! finished their LeNet cells. Trial seeds derive from
-//! `(framework, model, cell, trial)` alone, so tables are byte-identical
-//! at any `RAYON_NUM_THREADS`.
-//!
-//! The campaign records telemetry under `results/telemetry.jsonl` and a
-//! per-experiment completed-trial manifest under
-//! `results/<experiment>/manifest.jsonl`. Kill it at any point and re-run:
-//! completed trials are served from the manifest and only the missing ones
-//! execute, reproducing byte-identical tables.
+//! Runs every entry of the driver registry as one campaign into one
+//! results directory. Kill it at any point and re-run: completed trials are
+//! served from the manifests and the tables come out byte-identical.
 
-use sefi_experiments::*;
-use sefi_frameworks::FrameworkKind;
-use sefi_models::ModelKind;
-
-fn main() {
-    let budget = budget_from_args();
-    println!("=== full experimental campaign, budget: {} ===\n", budget.name);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("all-experiments"))
-        .expect("results directory is writable");
-
-    {
-        let _phase = pre.phase("fig2");
-        let (rows, t) = exp_bitranges::figure2(&pre);
-        println!("--- Figure 2: bit ranges ---\n{}", t.render());
-        println!(
-            "collapse only with critical bit: {}\n",
-            exp_bitranges::collapse_only_with_critical_bit(&rows)
-        );
-        let _ = std::fs::write(pre.results_file("fig2.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("table4");
-        let (cells, t) = exp_nev::table4(&pre);
-        println!("--- Table IV: N-EV incidence (64-bit) ---\n{}", t.render());
-        println!("ascending pattern: {}\n", exp_nev::ascending_pattern_holds(&cells));
-        let _ = std::fs::write(pre.results_file("table4.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("table5");
-        let (_, t) = exp_rwc::table5(&pre);
-        println!("--- Table V: RWC under 1 bit-flip ---\n{}", t.render());
-        let _ = std::fs::write(pre.results_file("table5.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("fig3");
-        for panel in exp_curves::figure3(&pre) {
-            let t = exp_curves::render_panel(&panel);
-            println!(
-                "--- Figure 3 panel {} / {} ---\n{}",
-                panel.framework.display(),
-                panel.model.id(),
-                t.render()
-            );
-            let _ = std::fs::write(
-                pre.results_file(&format!(
-                    "fig3_{}_{}.csv",
-                    panel.framework.id(),
-                    panel.model.id()
-                )),
-                t.to_csv(),
-            );
-        }
-    }
-
-    let logs = {
-        let _phase = pre.phase("fig4");
-        let (series, logs) = exp_layers::figure4(&pre);
-        let panel = exp_curves::Panel {
-            framework: FrameworkKind::Chainer,
-            model: ModelKind::AlexNet,
-            series,
-        };
-        let t = exp_curves::render_panel(&panel);
-        println!("--- Figure 4: per-layer injection (Chainer/AlexNet) ---\n{}", t.render());
-        let _ = std::fs::write(pre.results_file("fig4.csv"), t.to_csv());
-        logs
-    };
-
-    {
-        let _phase = pre.phase("fig5");
-        for (fw, series) in exp_equivalent::figure5(&pre, &logs) {
-            let panel = exp_curves::Panel { framework: fw, model: ModelKind::AlexNet, series };
-            let t = exp_curves::render_panel(&panel);
-            println!("--- Figure 5 panel {} ---\n{}", fw.display(), t.render());
-            let _ = std::fs::write(pre.results_file(&format!("fig5_{}.csv", fw.id())), t.to_csv());
-        }
-    }
-
-    {
-        let _phase = pre.phase("table6");
-        let (_, t) = exp_masks::table6(&pre);
-        println!("--- Table VI: multi-bit masks (ResNet50) ---\n{}", t.render());
-        let _ = std::fs::write(pre.results_file("table6.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("table7");
-        let (cells, t) = exp_nev::table7(&pre);
-        println!("--- Table VII: N-EV at 16/32-bit (Chainer) ---\n{}", t.render());
-        println!("ascending pattern: {}\n", exp_nev::ascending_pattern_holds(&cells));
-        let _ = std::fs::write(pre.results_file("table7.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("table8");
-        let (_, t) = exp_predict::table8(&pre);
-        println!("--- Table VIII: prediction under corruption (Chainer) ---\n{}", t.render());
-        let _ = std::fs::write(pre.results_file("table8.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("fig6");
-        let (_, t) = exp_propagation::figure6(&pre);
-        println!("--- Figure 6: error propagation (TensorFlow/AlexNet) ---\n{}", t.render());
-        let _ = std::fs::write(pre.results_file("fig6.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("fig7");
-        let (cells, baseline, t) = exp_heatmap::figure7(&pre);
-        println!("--- Figure 7: scaling-factor heat map (Chainer/ResNet50) ---");
-        println!("baseline accuracy: {baseline:.3}\n{}", t.render());
-        println!("monotone damage: {}\n", exp_heatmap::monotone_damage(&cells));
-        let _ = std::fs::write(pre.results_file("fig7.csv"), t.to_csv());
-    }
-
-    {
-        let _phase = pre.phase("storage");
-        let (rows, t) = exp_storage::storage_table(&pre);
-        println!("--- Storage: file-byte flips vs the v2 container ---\n{}", t.render());
-        println!(
-            "verified loader detects every flip: {}\n",
-            exp_storage::verified_loader_detects_everything(&rows)
-        );
-        let _ = std::fs::write(pre.results_file("storage.csv"), t.to_csv());
-    }
-
-    if let Some(summary) = pre.finish_campaign() {
-        println!("--- campaign summary ---\n{summary}");
-    }
-    println!("=== campaign complete; CSVs in results/ ===");
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main_all()
 }

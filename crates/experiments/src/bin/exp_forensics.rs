@@ -1,33 +1,3 @@
-//! Forensics sweep: single file-byte flips over a v2 checkpoint with and
-//! without an ECC parity sidecar, classified masked / detected /
-//! corrected / silent.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_forensics, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Checkpoint forensics — ECC-corrected loads vs the plain sectioned format");
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("forensics"))
-        .expect("results directory is writable");
-    println!("budget: {} ({} flips/cell)\n", budget.name, exp_forensics::flips_per_cell(&pre));
-    let _phase = pre.phase("forensics");
-    let (rows, table) = exp_forensics::forensics_table(&pre);
-    println!("{}", table.render());
-    println!(
-        "ecc loader corrects every payload flip: {}",
-        exp_forensics::ecc_corrects_every_payload_flip(&rows)
-    );
-    println!(
-        "plain trusting loader is all-silent: {}",
-        exp_forensics::plain_trusting_all_silent(&rows)
-    );
-    println!("all outcome classes observed: {}", exp_forensics::all_classes_observed(&rows));
-    println!("corrected rate: {}", exp_forensics::corrected_summary(&rows));
-    let _ = std::fs::write(pre.results_file("forensics.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("forensics.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_forensics::FORENSICS)
 }

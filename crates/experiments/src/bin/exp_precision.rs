@@ -1,26 +1,3 @@
-//! Cross-dtype equivalent injection: the same logical weight, the same
-//! format-relative bit, in every storage format (f16/bf16/f32/f64).
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_precision, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Equivalent injection across storage formats (Chainer / AlexNet)");
-    println!("budget: {} ({} trainings/cell)\n", budget.name, budget.trials);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("precision"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("precision");
-    let (rows, table) = exp_precision::precision_table(&pre);
-    println!("{}", table.render());
-    println!(
-        "exponent-width divergence (bf16 exp-msb N-EV > f16): {}",
-        exp_precision::exponent_width_divergence(&rows)
-    );
-    let _ = std::fs::write(pre.results_file("precision.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("precision.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_precision::PRECISION)
 }

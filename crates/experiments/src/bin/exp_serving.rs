@@ -1,41 +1,3 @@
-//! Served-accuracy sweep: payload bit flips per replica checkpoint vs
-//! what a guarded two-replica serving pool actually answers, classified
-//! masked / recovered / detected / silent against the clean pool.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_serving, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Serving soft errors — guarded replica pool vs corrupted checkpoint files");
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("serving"))
-        .expect("results directory is writable");
-    println!(
-        "budget: {} ({} trials/rate; {} replicas, {} requests, batch {})\n",
-        budget.name,
-        exp_serving::trials_per_rate(&pre),
-        exp_serving::REPLICAS,
-        exp_serving::CORPUS,
-        exp_serving::BATCH,
-    );
-    let _phase = pre.phase("serving");
-    let (rows, table) = exp_serving::serving_table(&pre);
-    println!("{}", table.render());
-    println!("rate-0 pool all masked: {}", exp_serving::rate_zero_all_masked(&rows));
-    println!("guards fire at max rate: {}", exp_serving::guards_fire_at_max_rate(&rows));
-    println!("no request lost: {}", exp_serving::no_request_lost(&rows));
-    let recovered = rows
-        .iter()
-        .map(|r| {
-            format!("{} {}%", r.rate, sefi_experiments::table::pct(exp_serving::recovered_rate(r)))
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    println!("recovered-trial rate by flips/replica: {recovered}");
-    let _ = std::fs::write(pre.results_file("serving.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("serving.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_serving::SERVING)
 }

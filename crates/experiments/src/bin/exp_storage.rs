@@ -1,33 +1,3 @@
-//! Storage-level sweep: single file-byte flips over a v2 checkpoint,
-//! classified masked / detected / silent per structural region, under a
-//! verified (CRC-checking) and a trusting (checksum-free) loader.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_storage, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Storage soft errors — single-bit file flips vs the sectioned v2 format");
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("storage"))
-        .expect("results directory is writable");
-    println!(
-        "budget: {} ({} flips/region; loaders: (v)erified, (t)rusting)\n",
-        budget.name,
-        exp_storage::flips_per_region(&pre)
-    );
-    let _phase = pre.phase("storage");
-    let (rows, table) = exp_storage::storage_table(&pre);
-    println!("{}", table.render());
-    println!(
-        "verified loader detects every flip: {}",
-        exp_storage::verified_loader_detects_everything(&rows)
-    );
-    println!("all outcome classes observed: {}", exp_storage::all_classes_observed(&rows));
-    println!("trusting-loader SDC rate: {}", exp_storage::sdc_summary(&rows));
-    let _ = std::fs::write(pre.results_file("storage.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("storage.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_storage::STORAGE)
 }

@@ -1,28 +1,3 @@
-//! Extension: N-EV detection/repair makes DL training "virtually
-//! unbreakable" (paper Section VI-1).
-
-use sefi_core::RepairPolicy;
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_guard, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Extension — NevGuard vs Table IV corruption (Chainer/AlexNet)");
-    println!("budget: {} ({} trainings/cell, paired arms)\n", budget.name, budget.trials);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("guard"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("guard");
-    for repair in [RepairPolicy::Zero, RepairPolicy::ClampTo(10.0)] {
-        println!("repair policy: {repair:?}");
-        let (cells, table) = exp_guard::guard_table(&pre, repair);
-        println!("{}", table.render());
-        println!(
-            "virtually unbreakable (0 guarded collapses): {}\n",
-            exp_guard::virtually_unbreakable(&cells)
-        );
-    }
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_guard::GUARD)
 }

@@ -1,28 +1,3 @@
-//! Regenerates Figure 2 / Section V-B1: which bit ranges collapse training.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_bitranges, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 2 — bit ranges that collapse a neural network (Chainer/AlexNet)");
-    println!(
-        "budget: {} ({} trainings/range, 1000 flips each)\n",
-        budget.name, budget.fig2_trainings
-    );
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig2"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig2");
-    let (rows, table) = exp_bitranges::figure2(&pre);
-    println!("{}", table.render());
-    println!(
-        "collapse occurs only when the range includes exponent MSB (bit 62): {}",
-        exp_bitranges::collapse_only_with_critical_bit(&rows)
-    );
-    let _ = std::fs::write(pre.results_file("fig2.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("fig2.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_bitranges::FIG2)
 }

@@ -1,35 +1,3 @@
-//! Regenerates Figure 3: accuracy curves under different bit-flip rates.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_curves, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 3 — sensitivity to different bit-flip rates");
-    println!(
-        "budget: {} (avg of {} trainings/curve, restart at epoch {})\n",
-        budget.name, budget.curve_trials, budget.restart_epoch
-    );
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig3"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig3");
-    for panel in exp_curves::figure3(&pre) {
-        let t = exp_curves::render_panel(&panel);
-        println!(
-            "panel: {} / {}  (no degradation vs error-free: {})",
-            panel.framework.display(),
-            panel.model.id(),
-            exp_curves::no_degradation(&panel, 0.10)
-        );
-        println!("{}", t.render());
-        println!("{}", sefi_experiments::chart::render_chart(&panel.series));
-        let name =
-            pre.results_file(&format!("fig3_{}_{}.csv", panel.framework.id(), panel.model.id()));
-        let _ = std::fs::write(&name, t.to_csv());
-        println!("wrote {}\n", name.display());
-    }
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_curves::FIG3)
 }

@@ -1,37 +1,3 @@
-//! Regenerates Figure 4: per-layer injection into AlexNet (Chainer).
-
-use sefi_experiments::{
-    budget_from_args, campaign_config_from_args, exp_curves, exp_layers, Prebaked,
-};
-use sefi_frameworks::FrameworkKind;
-use sefi_models::ModelKind;
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 4 — 1000 bit-flips injected into first/middle/last layer (Chainer/AlexNet)");
-    println!("budget: {} (avg of {} trainings/curve)\n", budget.name, budget.curve_trials);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig4"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig4");
-    let (series, logs) = exp_layers::figure4(&pre);
-    let panel =
-        exp_curves::Panel { framework: FrameworkKind::Chainer, model: ModelKind::AlexNet, series };
-    let t = exp_curves::render_panel(&panel);
-    println!("{}", t.render());
-    println!("{}", sefi_experiments::chart::render_chart(&panel.series));
-    let _ = std::fs::write(pre.results_file("fig4.csv"), t.to_csv());
-    for (role, log) in &logs {
-        let name = pre.results_file(&format!(
-            "fig4_log_{}.json",
-            exp_layers::role_label(*role).replace(' ', "_")
-        ));
-        let _ = log.save(&name);
-        println!("wrote {} ({} logged injections)", name.display(), log.len());
-    }
-    println!("wrote {}", pre.results_file("fig4.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_layers::FIG4)
 }

@@ -1,37 +1,3 @@
-//! Regenerates Figure 5: equivalent injection replayed on PyTorch and
-//! TensorFlow from Chainer logs.
-
-use sefi_experiments::{
-    budget_from_args, campaign_config_from_args, exp_curves, exp_equivalent, exp_layers, Prebaked,
-};
-use sefi_models::ModelKind;
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 5 — equivalent injection in PyTorch and TensorFlow (AlexNet)");
-    println!("budget: {}\n", budget.name);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig5"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig5");
-    // Generate the Chainer logs (the Figure 4 protocol).
-    let (_, logs) = exp_layers::figure4(&pre);
-    for (fw, series) in exp_equivalent::figure5(&pre, &logs) {
-        let panel = exp_curves::Panel { framework: fw, model: ModelKind::AlexNet, series };
-        let t = exp_curves::render_panel(&panel);
-        println!(
-            "panel: {} (no degradation vs error-free: {})",
-            fw.display(),
-            exp_curves::no_degradation(&panel, 0.10)
-        );
-        println!("{}", t.render());
-        println!("{}", sefi_experiments::chart::render_chart(&panel.series));
-        let name = pre.results_file(&format!("fig5_{}.csv", fw.id()));
-        let _ = std::fs::write(&name, t.to_csv());
-        println!("wrote {}\n", name.display());
-    }
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_equivalent::FIG5)
 }

@@ -1,27 +1,3 @@
-//! Regenerates Figure 6: soft-error propagation boxplots
-//! (TensorFlow/AlexNet).
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_propagation, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 6 — propagation of errors (TensorFlow/AlexNet, 1000 flips)");
-    println!(
-        "budget: {} (inject at epoch {}, compare at epoch {})\n",
-        budget.name,
-        budget.restart_epoch,
-        budget.restart_epoch + budget.resume_epochs
-    );
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig6"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig6");
-    let (_, table) = exp_propagation::figure6(&pre);
-    println!("{}", table.render());
-    let _ = std::fs::write(pre.results_file("fig6.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("fig6.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_propagation::FIG6)
 }

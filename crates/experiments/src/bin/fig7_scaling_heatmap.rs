@@ -1,24 +1,3 @@
-//! Regenerates Figure 7: accuracy heat map under scaling-factor corruption
-//! (Chainer/ResNet50).
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_heatmap, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Figure 7 — accuracy under scaling-factor corruption (Chainer/ResNet50)");
-    println!("budget: {}\n", budget.name);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("fig7"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("fig7");
-    let (cells, baseline, table) = exp_heatmap::figure7(&pre);
-    println!("baseline accuracy: {baseline:.3}\n");
-    println!("{}", table.render());
-    println!("monotone damage (heavy >= light): {}", exp_heatmap::monotone_damage(&cells));
-    let _ = std::fs::write(pre.results_file("fig7.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("fig7.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_heatmap::FIG7)
 }

@@ -15,13 +15,14 @@
 //! ```
 
 use sefi_experiments::{
-    budget_from_args, exp_bitranges, exp_nev, exp_rwc, Budget, CampaignConfig, Prebaked,
-    ShardWorkerConfig, StoppingRule,
+    exp_bitranges, exp_nev, exp_rwc, Budget, CampaignConfig, Prebaked, ShardWorkerConfig,
+    StoppingRule,
 };
 use std::time::Duration;
 
 struct Args {
     experiment: String,
+    budget: Budget,
     results_dir: String,
     worker_id: String,
     wave: Option<usize>,
@@ -33,8 +34,10 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
+    let mut budget = std::env::var("SEFI_BUDGET").ok().filter(|b| !b.is_empty());
     let mut args = Args {
         experiment: String::new(),
+        budget: Budget::default_budget(),
         results_dir: "results".to_string(),
         worker_id: String::new(),
         wave: None,
@@ -60,9 +63,7 @@ fn parse_args() -> Args {
                 args.lease_ttl = Duration::from_millis(parse(&value(&mut i), "--lease-ttl-ms"))
             }
             "--poll-ms" => args.poll = Duration::from_millis(parse(&value(&mut i), "--poll-ms")),
-            "--budget" => {
-                let _ = value(&mut i); // consumed by budget_from_args
-            }
+            "--budget" => budget = Some(value(&mut i)),
             other => usage(&format!("unknown flag {other:?}")),
         }
         i += 1;
@@ -70,6 +71,8 @@ fn parse_args() -> Args {
     if args.worker_id.is_empty() {
         usage("--worker-id is required (it names this worker's manifest shard)");
     }
+    let budget = budget.as_deref().map_or(Ok(Budget::default_budget()), Budget::by_name);
+    args.budget = budget.unwrap_or_else(|err| usage(&err));
     args
 }
 
@@ -99,8 +102,8 @@ fn rule_for(args: &Args, budget: &Budget) -> StoppingRule {
 }
 
 fn main() {
-    let budget = budget_from_args();
     let args = parse_args();
+    let budget = args.budget;
     let rule = rule_for(&args, &budget);
     let shard = ShardWorkerConfig { lease_ttl: args.lease_ttl, poll: args.poll };
     let config = CampaignConfig::new(&format!("{}-adaptive", args.experiment))
@@ -139,7 +142,7 @@ fn main() {
         }
         other => usage(&format!("unknown experiment {other:?} (expected fig2, nev, or rwc)")),
     };
-    let path = pre.results_file(csv_name);
+    let path = pre.results_file(csv_name).expect("results directory is creatable");
     std::fs::write(&path, table.to_csv()).expect("results CSV is writable");
     println!("wrote {}", path.display());
     if let Some(summary) = pre.finish_campaign() {

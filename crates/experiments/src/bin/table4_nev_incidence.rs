@@ -1,25 +1,3 @@
-//! Regenerates Table IV: incidence of NaN and extreme values at 64-bit.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_nev, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Table IV — incidence of NaN and extreme values (N-EV), 64-bit");
-    println!("budget: {} ({} trainings/cell)\n", budget.name, budget.trials);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("table4"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("table4");
-    let (cells, table) = exp_nev::table4(&pre);
-    println!("{}", table.render());
-    println!(
-        "ascending N-EV pattern with bit-flip count: {}",
-        exp_nev::ascending_pattern_holds(&cells)
-    );
-    let _ = std::fs::write(pre.results_file("table4.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("table4.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_nev::TABLE4)
 }

@@ -1,21 +1,3 @@
-//! Regenerates Table V: model sensitivity to a single bit-flip (RWC).
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_rwc, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Table V — sensitivity to 1 bit-flip (RWC = restarted with no change)");
-    println!("budget: {} ({} trainings/cell)\n", budget.name, budget.trials);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("table5"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("table5");
-    let (_, table) = exp_rwc::table5(&pre);
-    println!("{}", table.render());
-    let _ = std::fs::write(pre.results_file("table5.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("table5.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_rwc::TABLE5)
 }

@@ -1,21 +1,3 @@
-//! Regenerates Table VI: multi-bit DRAM-study masks applied to ResNet50.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_masks, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Table VI — multi-bit mask corruption of ResNet50");
-    println!("budget: {}\n", budget.name);
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("table6"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("table6");
-    let (_, table) = exp_masks::table6(&pre);
-    println!("{}", table.render());
-    let _ = std::fs::write(pre.results_file("table6.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("table6.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_masks::TABLE6)
 }

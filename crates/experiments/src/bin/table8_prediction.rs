@@ -1,25 +1,3 @@
-//! Regenerates Table VIII: prediction accuracy under corruption at
-//! different floating-point precisions.
-
-use sefi_experiments::{budget_from_args, campaign_config_from_args, exp_predict, Prebaked};
-
-fn main() {
-    let budget = budget_from_args();
-    println!("Table VIII — prediction under different precisions and bit-flip rates (Chainer)");
-    println!(
-        "budget: {} ({} predictions x {} images per cell)\n",
-        budget.name, budget.predict_trials, budget.predict_images
-    );
-    let pre = Prebaked::with_campaign(budget, campaign_config_from_args("table8"))
-        .expect("results directory is writable");
-    let _phase = pre.phase("table8");
-    let (_, table) = exp_predict::table8(&pre);
-    println!("{}", table.render());
-    let _ = std::fs::write(pre.results_file("table8.csv"), table.to_csv());
-    println!("wrote {}", pre.results_file("table8.csv").display());
-
-    drop(_phase);
-    if let Some(summary) = pre.finish_campaign() {
-        println!("\n--- campaign summary ---\n{summary}");
-    }
+fn main() -> std::process::ExitCode {
+    sefi_experiments::driver::main(&sefi_experiments::exp_predict::TABLE8)
 }

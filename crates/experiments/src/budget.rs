@@ -105,12 +105,12 @@ impl Budget {
     }
 
     /// Look up a preset by name.
-    pub fn by_name(name: &str) -> Option<Self> {
+    pub fn by_name(name: &str) -> Result<Self, String> {
         match name {
-            "smoke" => Some(Self::smoke()),
-            "default" => Some(Self::default_budget()),
-            "paper" => Some(Self::paper()),
-            _ => None,
+            "smoke" => Ok(Self::smoke()),
+            "default" => Ok(Self::default_budget()),
+            "paper" => Ok(Self::paper()),
+            _ => Err(format!("unknown budget {name:?}; valid: smoke, default, paper")),
         }
     }
 
@@ -161,7 +161,7 @@ mod tests {
         assert_eq!(Budget::by_name("smoke").unwrap().name, "smoke");
         assert_eq!(Budget::by_name("default").unwrap().name, "default");
         assert_eq!(Budget::by_name("paper").unwrap().trials, 250);
-        assert!(Budget::by_name("bogus").is_none());
+        assert!(Budget::by_name("bogus").is_err());
     }
 
     #[test]

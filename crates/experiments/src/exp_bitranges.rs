@@ -6,6 +6,7 @@
 //! range accounts for the most significant bit of the exponent."
 
 use crate::adaptive::{classify_collapsed, AdaptiveCell, ShardWorkerConfig, StoppingRule};
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
@@ -169,6 +170,21 @@ pub fn collapse_only_with_critical_bit(rows: &[RangeRow]) -> bool {
         }
     })
 }
+
+/// Figure 2 / Section V-B1: which bit ranges collapse training.
+pub const FIG2: Experiment = Experiment {
+    name: "fig2",
+    title: "Figure 2 — bit ranges that collapse a neural network (Chainer/AlexNet)",
+    files: &["fig2.csv"],
+    run: |pre, r| {
+        r.budget(pre, &format!("{} trainings/range, 1000 flips each", pre.budget().fig2_trainings));
+        let (rows, table) = figure2(pre);
+        r.table(&table);
+        let label = "collapse occurs only when the range includes exponent MSB (bit 62)";
+        r.finding(label, collapse_only_with_critical_bit(&rows));
+        r.csv("fig2.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

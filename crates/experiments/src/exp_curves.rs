@@ -6,6 +6,7 @@
 //! checkpoint with 1/10/100/1000 bit-flips (exponent MSB excluded); the
 //! "green line" is the error-free full training.
 
+use crate::driver::{Experiment, Report};
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
 use sefi_core::{Corrupter, CorrupterConfig};
@@ -187,6 +188,33 @@ pub fn no_degradation(p: &Panel, tolerance: f64) -> bool {
     let last = |s: &Series| s.points.last().map(|&(_, a)| a).unwrap_or(0.0);
     let baseline = last(&p.series[0]);
     p.series[1..].iter().all(|s| last(s) >= baseline - tolerance)
+}
+
+/// Figure 3: accuracy curves under different bit-flip rates.
+pub const FIG3: Experiment = Experiment {
+    name: "fig3",
+    title: "Figure 3 — sensitivity to different bit-flip rates",
+    files: &["fig3_chainer_resnet50.csv", "fig3_pytorch_vgg16.csv", "fig3_tensorflow_alexnet.csv"],
+    run: |pre, r| {
+        let (trials, epoch) = (pre.budget().curve_trials, pre.budget().restart_epoch);
+        r.budget(pre, &format!("avg of {trials} trainings/curve, restart at epoch {epoch}"));
+        for p in figure3(pre) {
+            let (fw, model) = (p.framework.display(), p.model.id());
+            let ok = no_degradation(&p, 0.10);
+            r.line(format!("panel: {fw} / {model}  (no degradation vs error-free: {ok})"));
+            let table = report_panel(r, &p);
+            r.csv(format!("fig3_{}_{model}.csv", p.framework.id()), &table);
+            r.line("");
+        }
+    },
+};
+
+/// Report `panel` as a table and a chart; returns the table for its CSV.
+pub fn report_panel(r: &mut Report, panel: &Panel) -> TextTable {
+    let table = render_panel(panel);
+    r.table(&table);
+    r.line(crate::chart::render_chart(&panel.series));
+    table
 }
 
 #[cfg(test)]

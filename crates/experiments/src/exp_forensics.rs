@@ -23,6 +23,7 @@
 //! Outcomes extend the storage taxonomy with a **corrected** class: the
 //! load reported (and repaired) damage, and the result is bit-exact.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::{pct, TextTable};
 use sefi_core::{FileRegion, RawConfig, RawCorrupter};
@@ -308,6 +309,23 @@ pub fn corrected_summary(rows: &[ScenarioRow]) -> String {
         .collect::<Vec<_>>()
         .join(", ")
 }
+
+/// The forensics sweep: file-byte flips with and without an ECC sidecar.
+pub const FORENSICS: Experiment = Experiment {
+    name: "forensics",
+    title: "Checkpoint forensics — ECC-corrected loads vs the plain sectioned format",
+    files: &["forensics.csv"],
+    run: |pre, r| {
+        r.budget(pre, &format!("{} flips/cell", flips_per_cell(pre)));
+        let (rows, table) = forensics_table(pre);
+        r.table(&table);
+        r.check("ecc loader corrects every payload flip", ecc_corrects_every_payload_flip(&rows));
+        r.finding("plain trusting loader is all-silent", plain_trusting_all_silent(&rows));
+        r.check("all outcome classes observed", all_classes_observed(&rows));
+        r.finding("corrected rate", corrected_summary(&rows));
+        r.csv("forensics.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@
 //! must be zero at every flip count, and guarded trainings should recover
 //! accuracy like the benign-corruption runs of Figure 3.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
@@ -140,6 +141,24 @@ pub fn guard_table(pre: &Prebaked, repair: RepairPolicy) -> (Vec<GuardCell>, Tex
 pub fn virtually_unbreakable(cells: &[GuardCell]) -> bool {
     cells.iter().all(|c| c.guarded_nev == 0)
 }
+
+/// Extension: does N-EV repair make training "virtually unbreakable"? A
+/// finding, not a check: ClampTo reads false at the default budget.
+pub const GUARD: Experiment = Experiment {
+    name: "guard",
+    title: "Extension — NevGuard vs Table IV corruption (Chainer/AlexNet)",
+    files: &[],
+    run: |pre, r| {
+        r.budget(pre, &format!("{} trainings/cell, paired arms", pre.budget().trials));
+        for repair in [RepairPolicy::Zero, RepairPolicy::ClampTo(10.0)] {
+            r.line(format!("repair policy: {repair:?}"));
+            let (cells, table) = guard_table(pre, repair);
+            r.table(&table);
+            r.finding("virtually unbreakable (0 guarded collapses)", virtually_unbreakable(&cells));
+            r.line("");
+        }
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,7 @@
 //! scales N random weights by a factor and reports the model's accuracy
 //! right after loading the corrupted checkpoint, averaged over trials.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
 use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
@@ -128,6 +129,21 @@ pub fn monotone_damage(cells: &[HeatCell]) -> bool {
     };
     acc(1000, 4500.0) <= acc(1, 1.5) + 1e-9
 }
+
+/// Figure 7: accuracy heat map under scaling-factor corruption.
+pub const FIG7: Experiment = Experiment {
+    name: "fig7",
+    title: "Figure 7 — accuracy under scaling-factor corruption (Chainer/ResNet50)",
+    files: &["fig7.csv"],
+    run: |pre, r| {
+        r.line(format!("budget: {}\n", pre.budget().name));
+        let (cells, baseline, table) = figure7(pre);
+        r.line(format!("baseline accuracy: {baseline:.3}\n"));
+        r.table(&table);
+        r.finding("monotone damage (heavy >= light)", monotone_damage(&cells));
+        r.csv("fig7.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,8 @@
 //! layer degrading and then recovering, while middle- and last-layer
 //! injections are absorbed (Section V-C2).
 
-use crate::exp_curves::Series;
+use crate::driver::Experiment;
+use crate::exp_curves::{report_panel, Panel, Series};
 use crate::runner::{CellPlan, Prebaked};
 use sefi_core::{Corrupter, CorrupterConfig, InjectionLog, LocationSelection};
 use sefi_float::Precision;
@@ -154,6 +155,29 @@ pub fn figure4(pre: &Prebaked) -> (Vec<Series>, Vec<(LayerRole, InjectionLog)>) 
     }
     (series, logs)
 }
+
+/// Figure 4: per-layer injection, with the logs Figure 5 replays.
+pub const FIG4: Experiment = Experiment {
+    name: "fig4",
+    title: "Figure 4 — 1000 bit-flips injected into first/middle/last layer (Chainer/AlexNet)",
+    files: &[
+        "fig4.csv",
+        "fig4_log_first_layer.json",
+        "fig4_log_middle_layer.json",
+        "fig4_log_last_layer.json",
+    ],
+    run: |pre, r| {
+        r.budget(pre, &format!("avg of {} trainings/curve", pre.budget().curve_trials));
+        let (series, logs) = figure4(pre);
+        let panel = Panel { framework: FrameworkKind::Chainer, model: ModelKind::AlexNet, series };
+        let table = report_panel(r, &panel);
+        for (role, log) in &logs {
+            let name = format!("fig4_log_{}.json", role_label(*role).replace(' ', "_"));
+            r.artifact(name, log.to_json(), &format!("{} logged injections", log.len()));
+        }
+        r.csv("fig4.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,7 @@
 //! the average accuracy immediately after loading the corrupted checkpoint
 //! (AvgI-Acc, excluding collapsed trainings) and the number of N-EV events.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
 use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
@@ -176,6 +177,19 @@ pub fn table6(pre: &Prebaked) -> (Vec<MaskCell>, TextTable) {
     }
     (cells, table)
 }
+
+/// Table VI: multi-bit DRAM-study masks applied to ResNet50.
+pub const TABLE6: Experiment = Experiment {
+    name: "table6",
+    title: "Table VI — multi-bit mask corruption of ResNet50",
+    files: &["table6.csv"],
+    run: |pre, r| {
+        r.line(format!("budget: {}\n", pre.budget().name));
+        let (_, table) = table6(pre);
+        r.table(&table);
+        r.csv("table6.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 //! 32-bit precision.
 
 use crate::adaptive::{classify_collapsed, AdaptiveCell, StoppingRule};
+use crate::driver::{Experiment, Report};
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
@@ -221,6 +222,29 @@ pub fn ascending_pattern_holds(cells: &[NevCell]) -> bool {
         subset.iter().map(|c| c.pct).sum::<f64>() / subset.len().max(1) as f64
     };
     rate_at(1) <= rate_at(10) && rate_at(10) <= rate_at(100) && rate_at(100) <= rate_at(1000)
+}
+
+/// Table IV: incidence of NaN and extreme values at 64-bit.
+pub const TABLE4: Experiment = Experiment {
+    name: "table4",
+    title: "Table IV — incidence of NaN and extreme values (N-EV), 64-bit",
+    files: &["table4.csv"],
+    run: |pre, r| report_nev(pre, r, "table4.csv", table4(pre)),
+};
+
+/// Table VII: N-EV incidence at 16- and 32-bit precision.
+pub const TABLE7: Experiment = Experiment {
+    name: "table7",
+    title: "Table VII — N-EV incidence at 16/32-bit precision (Chainer)",
+    files: &["table7.csv"],
+    run: |pre, r| report_nev(pre, r, "table7.csv", table7(pre)),
+};
+
+fn report_nev(pre: &Prebaked, r: &mut Report, csv: &str, (cells, t): (Vec<NevCell>, TextTable)) {
+    r.budget(pre, &format!("{} trainings/cell", pre.budget().trials));
+    r.table(&t);
+    r.finding("ascending N-EV pattern with bit-flip count", ascending_pattern_holds(&cells));
+    r.csv(csv, &t);
 }
 
 #[cfg(test)]

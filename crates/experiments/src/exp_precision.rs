@@ -27,6 +27,7 @@
 //! exponent scales it by only ~2^16 (large but finite → absorbed), so
 //! the two 16-bit formats diverge despite equal storage width.
 
+use crate::driver::Experiment;
 use crate::runner::{combo_seed, CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
@@ -306,6 +307,21 @@ pub fn exponent_width_divergence(rows: &[PrecisionRow]) -> bool {
         _ => false,
     }
 }
+
+/// Cross-dtype equivalent injection over every storage format.
+pub const PRECISION: Experiment = Experiment {
+    name: "precision",
+    title: "Equivalent injection across storage formats (Chainer / AlexNet)",
+    files: &["precision.csv"],
+    run: |pre, r| {
+        r.budget(pre, &format!("{} trainings/cell", pre.budget().trials));
+        let (rows, table) = precision_table(pre);
+        r.table(&table);
+        let label = "exponent-width divergence (bf16 exp-msb N-EV > f16)";
+        r.check(label, exponent_width_divergence(&rows));
+        r.csv("precision.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

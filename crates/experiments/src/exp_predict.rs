@@ -8,6 +8,7 @@
 //! N-EV. Unlike training, prediction has no chance to recover — degraded
 //! weights directly degrade accuracy, more at lower precision.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
 use parking_lot::Mutex;
@@ -187,6 +188,21 @@ pub fn table8(pre: &Prebaked) -> (Vec<PredictCell>, TextTable) {
     }
     (cells, table)
 }
+
+/// Table VIII: prediction under corruption at different precisions.
+pub const TABLE8: Experiment = Experiment {
+    name: "table8",
+    title: "Table VIII — prediction under different precisions and bit-flip rates (Chainer)",
+    files: &["table8.csv"],
+    run: |pre, r| {
+        let b = pre.budget();
+        let (trials, images) = (b.predict_trials, b.predict_images);
+        r.budget(pre, &format!("{trials} predictions x {images} images per cell"));
+        let (_, table) = table8(pre);
+        r.table(&table);
+        r.csv("table8.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 //! injections alter weights the most; middle- and last-layer injections
 //! are largely absorbed.
 
+use crate::driver::Experiment;
 use crate::exp_layers::{locations_for, role_label, LAYER_FLIPS};
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::{five_number_summary, FiveNum};
@@ -187,6 +188,21 @@ pub fn figure6(pre: &Prebaked) -> (Vec<Propagation>, TextTable) {
     }
     (rows, table)
 }
+
+/// Figure 6: soft-error propagation boxplots (TensorFlow/AlexNet).
+pub const FIG6: Experiment = Experiment {
+    name: "fig6",
+    title: "Figure 6 — propagation of errors (TensorFlow/AlexNet, 1000 flips)",
+    files: &["fig6.csv"],
+    run: |pre, r| {
+        let b = pre.budget();
+        let (inject, compare) = (b.restart_epoch, b.restart_epoch + b.resume_epochs);
+        r.budget(pre, &format!("inject at epoch {inject}, compare at epoch {compare}"));
+        let (_, table) = figure6(pre);
+        r.table(&table);
+        r.csv("fig6.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 //! deterministic baseline. Equality means the flip was fully absorbed.
 
 use crate::adaptive::{AdaptiveCell, StoppingRule};
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
@@ -186,6 +187,19 @@ pub fn table5_adaptive(pre: &Prebaked, rule: StoppingRule) -> (Vec<RwcCell>, Tex
     }
     (out, table)
 }
+
+/// Table V: model sensitivity to a single bit-flip (RWC).
+pub const TABLE5: Experiment = Experiment {
+    name: "table5",
+    title: "Table V — sensitivity to 1 bit-flip (RWC = restarted with no change)",
+    files: &["table5.csv"],
+    run: |pre, r| {
+        r.budget(pre, &format!("{} trainings/cell", pre.budget().trials));
+        let (_, table) = table5(pre);
+        r.table(&table);
+        r.csv("table5.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,7 @@
 //! smoke run byte-compares the CSV across worker counts and across a
 //! kill/resume of the campaign.
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked, TrialError};
 use crate::table::{pct, TextTable};
 use sefi_core::{FileRegion, RawConfig, RawCorrupter};
@@ -377,6 +378,26 @@ pub fn recovered_rate(row: &RateRow) -> f64 {
     }
     100.0 * row.get(Verdict::Recovered) as f64 / row.trials as f64
 }
+
+/// The served-accuracy sweep: replica-file flips vs a guarded serving pool.
+pub const SERVING: Experiment = Experiment {
+    name: "serving",
+    title: "Serving soft errors — guarded replica pool vs corrupted checkpoint files",
+    files: &["serving.csv"],
+    run: |pre, r| {
+        let pool = format!("{REPLICAS} replicas, {CORPUS} requests, batch {BATCH}");
+        r.budget(pre, &format!("{} trials/rate; {pool}", trials_per_rate(pre)));
+        let (rows, table) = serving_table(pre);
+        r.table(&table);
+        r.check("rate-0 pool all masked", rate_zero_all_masked(&rows));
+        r.check("guards fire at max rate", guards_fire_at_max_rate(&rows));
+        r.check("no request lost", no_request_lost(&rows));
+        let recovered: Vec<String> =
+            rows.iter().map(|row| format!("{} {}%", row.rate, pct(recovered_rate(row)))).collect();
+        r.finding("recovered-trial rate by flips/replica", recovered.join(", "));
+        r.csv("serving.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

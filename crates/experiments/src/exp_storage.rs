@@ -19,6 +19,7 @@
 //! quarantines — a DUE), **silent** (the load succeeds but the file
 //! differs — an SDC).
 
+use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::{pct, TextTable};
 use sefi_core::{FileRegion, RawConfig, RawCorrupter};
@@ -239,6 +240,23 @@ pub fn sdc_summary(rows: &[RegionRow]) -> String {
         .collect::<Vec<_>>()
         .join(", ")
 }
+
+/// The storage sweep: file-byte flips vs a verified and a trusting loader.
+pub const STORAGE: Experiment = Experiment {
+    name: "storage",
+    title: "Storage soft errors — single-bit file flips vs the sectioned v2 format",
+    files: &["storage.csv"],
+    run: |pre, r| {
+        let flips = flips_per_region(pre);
+        r.budget(pre, &format!("{flips} flips/region; loaders: (v)erified, (t)rusting"));
+        let (rows, table) = storage_table(pre);
+        r.table(&table);
+        r.check("verified loader detects every flip", verified_loader_detects_everything(&rows));
+        r.check("all outcome classes observed", all_classes_observed(&rows));
+        r.finding("trusting-loader SDC rate", sdc_summary(&rows));
+        r.csv("storage.csv", &table);
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -14,13 +14,15 @@
 //!
 //! Scale is controlled by a [`Budget`] (`smoke` / `default` / `paper`);
 //! every binary accepts `--budget <name>` and prints the same rows/series
-//! the paper reports. See EXPERIMENTS.md for recorded outputs.
+//! the paper reports; each is one [`driver::Experiment`] of the
+//! [`driver`] registry. See EXPERIMENTS.md for recorded outputs.
 
 #![deny(missing_docs)]
 
 pub mod adaptive;
 mod budget;
 pub mod chart;
+pub mod driver;
 pub mod ecc;
 pub mod exp_bitranges;
 pub mod exp_curves;
@@ -46,45 +48,9 @@ pub use adaptive::{
     ShardWorkerConfig, StoppingRule, WaveStat,
 };
 pub use budget::Budget;
+pub use driver::budget_from_args;
 pub use runner::{
     combo_seed, combo_seed_parts, CampaignConfig, CellPlan, PhaseGuard, Prebaked, TrialError,
     TrialResult,
 };
 pub use sefi_telemetry::TrialOutcome;
-
-/// Parse `--budget <name>` (or `SEFI_BUDGET`) from a binary's args;
-/// defaults to [`Budget::default_budget`].
-pub fn budget_from_args() -> Budget {
-    let args: Vec<String> = std::env::args().collect();
-    let mut name = std::env::var("SEFI_BUDGET").unwrap_or_default();
-    for i in 0..args.len() {
-        if args[i] == "--budget" && i + 1 < args.len() {
-            name = args[i + 1].clone();
-        }
-    }
-    match name.as_str() {
-        "" => Budget::default_budget(),
-        other => Budget::by_name(other).unwrap_or_else(|| {
-            eprintln!("unknown budget {other:?}; valid: smoke, default, paper");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Campaign configuration for a binary named `name`, honoring the shared
-/// command-line flags: `--results-dir <path>` redirects everything the
-/// campaign writes (default `results/`), and `--retry-failed` re-executes
-/// trials whose manifest record is a failure instead of serving it.
-pub fn campaign_config_from_args(name: &str) -> CampaignConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = CampaignConfig::new(name);
-    for i in 0..args.len() {
-        if args[i] == "--results-dir" && i + 1 < args.len() {
-            cfg = cfg.results_dir(&args[i + 1]);
-        }
-        if args[i] == "--retry-failed" {
-            cfg = cfg.retry_failed(true);
-        }
-    }
-    cfg
-}

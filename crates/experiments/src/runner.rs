@@ -517,14 +517,14 @@ impl Prebaked {
 
     /// Path for a campaign artifact (CSV, report) named `name`: under the
     /// campaign's results directory when one is attached, else under the
-    /// conventional `results/`. Creates the directory.
-    pub fn results_file(&self, name: &str) -> PathBuf {
+    /// conventional `results/`. Creates the directory, or says why not.
+    pub fn results_file(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = match &self.campaign {
             Some(c) => c.results_dir.clone(),
             None => PathBuf::from("results"),
         };
-        let _ = std::fs::create_dir_all(&dir);
-        dir.join(name)
+        std::fs::create_dir_all(&dir)?;
+        Ok(dir.join(name))
     }
 
     /// Run a declared phase: flatten every `(cell, trial)` pair of `plans`
