@@ -35,7 +35,7 @@
 //! ratio is smaller still.
 
 use sefi_bench::harness::{host_threads, paired_min_ns, write_json, Cli, Gates};
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_experiments::{exp_bitranges, Budget, CellPlan, Prebaked, StoppingRule, TrialOutcome};
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
@@ -209,13 +209,10 @@ fn bookkeep(sink: &JsonlSink, manifest: &Manifest, seed: u64) {
 /// One real Table IV trial at micro scale (1000 full-range flips, then
 /// resume), without the campaign machinery.
 fn one_trial(pre: &Prebaked, seed: u64) -> bool {
-    let pristine =
-        pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, sefi_hdf5::Dtype::F64);
-    let mut ck = pristine.clone();
     let cfg = CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, seed);
-    Corrupter::new(cfg).expect("valid preset").corrupt(&mut ck).expect("corruption succeeds");
-    pre.resume(FrameworkKind::Chainer, ModelKind::AlexNet, &ck, pre.budget().resume_epochs)
-        .collapsed()
+    let trial = pre.trial(FrameworkKind::Chainer, ModelKind::AlexNet, sefi_hdf5::Dtype::F64);
+    let run = trial.corrupt(cfg).expect("valid preset").resume(pre.budget().resume_epochs);
+    run.expect("corrupted checkpoints remain structurally valid").outcome.collapsed
 }
 
 /// Paired per-call ns of (bookkeeping, one micro trial), at the host's

@@ -30,7 +30,6 @@
 
 mod config;
 mod corrupter;
-pub mod diff;
 mod error;
 pub mod guard;
 mod log;
@@ -41,7 +40,6 @@ mod testutil;
 
 pub use config::{CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection, RawConfig};
 pub use corrupter::{corrupt_file, Corrupter};
-pub use diff::{diff_checkpoint_values, diff_checkpoints, CheckpointDiff, DatasetDiff};
 pub use error::CorruptError;
 pub use guard::{GuardFinding, GuardReport, NevGuard, RepairPolicy};
 pub use log::{InjectionLog, LogRecord};

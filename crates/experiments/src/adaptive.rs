@@ -450,8 +450,24 @@ impl Prebaked {
                 // free-form cell label into a filename-safe token.
                 let k = trace.waves.len();
                 let unit = digest64(&format!("{}/{}", cell.plan.experiment(), cell.plan.cell()));
-                if let Some(_lease) = leases.try_claim(&format!("{unit}-w{k}"))? {
+                let key = format!("{unit}-w{k}");
+                #[cfg(test)]
+                tests::BEFORE_CLAIM.with(|hook| {
+                    if let Some(h) = hook.borrow_mut().as_mut() {
+                        h(&key);
+                    }
+                });
+                if let Some(_lease) = leases.try_claim(&key)? {
                     let (start, end) = cell.rule.wave_range(k);
+                    // A rival may have finished the wave and released its
+                    // lease since the reload above: re-read the manifest
+                    // under the lease and skip a wave that is now recorded.
+                    // `run_units` serves any trials recorded so far.
+                    manifest.reload()?;
+                    if (start..end).all(|t| manifest.lookup(cell.plan.seed(t), &digest).is_some()) {
+                        progressed = true;
+                        continue;
+                    }
                     let wave_outs = self.run_units(&plans, (start..end).map(|t| (ci, t)).collect());
                     // Emit this wave's decision from a fresh replay over
                     // prefix + wave (the lease means we completed it).
@@ -489,6 +505,76 @@ impl Prebaked {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// Rendezvous hook a test installs on a sharded worker's thread: it
+    /// runs with the lease key between the manifest reload and the claim.
+    type ClaimHook = Box<dyn FnMut(&str)>;
+
+    thread_local! {
+        pub(super) static BEFORE_CLAIM: RefCell<Option<ClaimHook>> = const { RefCell::new(None) };
+    }
+
+    #[test]
+    fn a_wave_finished_between_reload_and_claim_is_not_rerun() {
+        use crate::{Budget, CampaignConfig, Prebaked};
+        use sefi_frameworks::FrameworkKind;
+        use sefi_models::ModelKind;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let dir =
+            std::env::temp_dir().join(format!("sefi_adaptive_interleave_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let executed = AtomicUsize::new(0);
+        // One cell whose first wave of two never collapses: 0/2 stops it.
+        let rule = StoppingRule::new(2, 0.66, 6);
+        let (fw, model) = (FrameworkKind::Chainer, ModelKind::AlexNet);
+        let worker = |tag: &str| {
+            let config = CampaignConfig::new("adapt").results_dir(&dir).shard_id(tag);
+            let pre = Prebaked::with_campaign(Budget::smoke(), config).unwrap();
+            let plan = CellPlan::new("adapt", "cell", fw, model, rule.max_trials, |_, _| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                Ok(TrialOutcome::ok())
+            });
+            let cells = [AdaptiveCell::new(plan, rule, classify_collapsed)];
+            let cfg = ShardWorkerConfig {
+                lease_ttl: Duration::from_secs(60),
+                poll: Duration::from_millis(5),
+            };
+            pre.run_adaptive_sharded(&cells, &cfg).unwrap().remove(0).outcomes
+        };
+
+        // The late worker reloads, sees wave 0 unrecorded, and pauses
+        // before its claim. The rival then runs wave 0 to completion and
+        // releases the lease; only then does the late worker claim it.
+        let (reloaded, wait_reload) = mpsc::channel();
+        let (resume, wait_resume) = mpsc::channel::<()>();
+        let (late, rival) = std::thread::scope(|s| {
+            // Owned here, so a panicking rival drops it and frees the late worker.
+            let resume = resume;
+            let late = s.spawn(|| {
+                let mut paused = false;
+                BEFORE_CLAIM.with(|hook| {
+                    *hook.borrow_mut() = Some(Box::new(move |_key: &str| {
+                        if !std::mem::replace(&mut paused, true) {
+                            reloaded.send(()).unwrap();
+                            wait_resume.recv().unwrap();
+                        }
+                    }))
+                });
+                worker("late")
+            });
+            wait_reload.recv().unwrap();
+            let rival = worker("rival");
+            resume.send(()).unwrap();
+            (late.join().unwrap(), rival)
+        });
+        assert_eq!(late, rival, "workers assembled different cells");
+        assert_eq!(executed.load(Ordering::Relaxed), 2, "wave 0 ran more than once");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn wilson_matches_known_values() {

@@ -9,7 +9,7 @@
 //! either ~benign or astronomically large, with almost nothing in between
 //! (a direct consequence of exponent-bit arithmetic).
 
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_experiments::{budget_from_args, combo_seed, table::TextTable, Prebaked};
 use sefi_float::{NevPolicy, Precision};
 use sefi_frameworks::FrameworkKind;
@@ -21,19 +21,14 @@ fn main() {
     println!("Ablation — N-EV extreme-value threshold (Chainer/AlexNet, 100 flips)");
     println!("budget: {} ({} checkpoints/threshold)\n", budget.name, budget.trials);
     let pre = Prebaked::new(budget);
-    let pristine = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
+    let (fw, model) = (FrameworkKind::Chainer, ModelKind::AlexNet);
 
     // Pre-generate corrupted checkpoints once; classify under each policy.
     let corrupted: Vec<_> = (0..budget.trials)
         .map(|trial| {
-            let mut ck = pristine.clone();
-            let cfg = CorrupterConfig::bit_flips_full_range(
-                100,
-                Precision::Fp64,
-                combo_seed(FrameworkKind::Chainer, ModelKind::AlexNet, "thr", trial),
-            );
-
-            Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap()
+            let seed = combo_seed(fw, model, "thr", trial);
+            let cfg = CorrupterConfig::bit_flips_full_range(100, Precision::Fp64, seed);
+            pre.trial(fw, model, Dtype::F64).corrupt(cfg).expect("valid injector config")
         })
         .collect();
 
@@ -41,8 +36,8 @@ fn main() {
         TextTable::new(&["Threshold", "Checkpoints with N-EV", "%", "Mean N-EV values/ckpt"]);
     for exp in [10, 20, 30, 50, 100, 200, 300] {
         let policy = NevPolicy::with_threshold(10f64.powi(exp));
-        let with_nev = corrupted.iter().filter(|r| r.produced_nev(&policy)).count();
-        let mean: f64 = corrupted.iter().map(|r| r.nev_count(&policy) as f64).sum::<f64>()
+        let with_nev = corrupted.iter().filter(|t| t.report().produced_nev(&policy)).count();
+        let mean: f64 = corrupted.iter().map(|t| t.report().nev_count(&policy) as f64).sum::<f64>()
             / corrupted.len().max(1) as f64;
         table.row(vec![
             format!("1e{exp}"),

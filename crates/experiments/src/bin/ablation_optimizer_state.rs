@@ -37,13 +37,14 @@ fn main() {
         let cold_ck = part.checkpoint(Dtype::F64);
         let warm_ck = part.checkpoint_with_optimizer(Dtype::F64);
 
-        let mut cold = sefi_frameworks::Session::new(cfg.clone());
-        cold.restore(&cold_ck).expect("cold restore");
-        let out_cold = cold.train_to(data, budget.curve_end_epoch);
-
-        let mut warm = sefi_frameworks::Session::new(cfg);
-        warm.restore(&warm_ck).expect("warm restore");
-        let out_warm = warm.train_to(data, budget.curve_end_epoch);
+        let resume = |ck| {
+            let run = pre.trial_from(FrameworkKind::PyTorch, model, ck);
+            run.resume(budget.curve_end_epoch - budget.restart_epoch)
+                .expect("own checkpoint restores")
+                .training
+        };
+        let out_cold = resume(&cold_ck);
+        let out_warm = resume(&warm_ck);
 
         println!("model: {}", model.id());
         for e in budget.restart_epoch..budget.curve_end_epoch {

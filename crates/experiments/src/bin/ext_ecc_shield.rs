@@ -12,7 +12,7 @@
 //! detected-uncorrectable, odd-weight masks alias into miscorrections.
 //! `ext_ecc_default.txt` holds the default-budget output.
 
-use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
+use sefi_core::{CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
 use sefi_experiments::{budget_from_args, combo_seed, ecc, table::TextTable, Prebaked};
 use sefi_float::{BitMask, Precision};
 use sefi_frameworks::FrameworkKind;
@@ -24,8 +24,8 @@ fn main() {
     println!("Extension — SEC-DED checkpoint protection (Chainer/AlexNet)");
     println!("budget: {} ({} trials/row)\n", budget.name, budget.trials);
     let pre = Prebaked::new(budget);
-    let pristine = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
-    let stored = pristine.to_bytes_v2();
+    let (fw, model) = (FrameworkKind::Chainer, ModelKind::AlexNet);
+    let stored = pre.checkpoint_shared(fw, model, Dtype::F64).to_bytes_v2();
     let sidecar = EccSidecar::protect(&stored).expect("pristine checkpoint protects");
     let trials = budget.trials;
 
@@ -41,14 +41,11 @@ fn main() {
     for flips in [1u64, 10] {
         let (mut repaired, mut detected, mut miscorrected) = (0, 0, 0);
         for trial in 0..trials {
-            let mut ck = pristine.clone();
-            let cfg = CorrupterConfig::bit_flips_full_range(
-                flips,
-                Precision::Fp64,
-                combo_seed(FrameworkKind::Chainer, ModelKind::AlexNet, "ecc-flip", trial) ^ flips,
-            );
-            Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap();
-            let (bytes, report) = ecc::repair_as_stored(&stored, &sidecar, &ck).unwrap();
+            let seed = combo_seed(fw, model, "ecc-flip", trial) ^ flips;
+            let cfg = CorrupterConfig::bit_flips_full_range(flips, Precision::Fp64, seed);
+            let hit = pre.trial(fw, model, Dtype::F64).corrupt(cfg).expect("valid injector config");
+            let (bytes, report) =
+                ecc::repair_as_stored(&stored, &sidecar, hit.checkpoint()).unwrap();
             if bytes == stored {
                 repaired += 1;
             } else if report.uncorrectable_words > 0 {
@@ -70,7 +67,6 @@ fn main() {
     for (bits, mask) in sefi_experiments::exp_masks::MASKS {
         let (mut repaired, mut detected, mut miscorrected) = (0, 0, 0);
         for trial in 0..trials {
-            let mut ck = pristine.clone();
             let cfg = CorrupterConfig {
                 injection_probability: 1.0,
                 amount: InjectionAmount::Count(10),
@@ -78,10 +74,11 @@ fn main() {
                 mode: CorruptionMode::BitMask(BitMask::parse(mask).unwrap()),
                 allow_nan_values: true,
                 locations: LocationSelection::AllRandom,
-                seed: combo_seed(FrameworkKind::Chainer, ModelKind::AlexNet, mask, trial),
+                seed: combo_seed(fw, model, mask, trial),
             };
-            Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap();
-            let (bytes, report) = ecc::repair_as_stored(&stored, &sidecar, &ck).unwrap();
+            let hit = pre.trial(fw, model, Dtype::F64).corrupt(cfg).expect("valid injector config");
+            let (bytes, report) =
+                ecc::repair_as_stored(&stored, &sidecar, hit.checkpoint()).unwrap();
             if bytes == stored {
                 repaired += 1;
             } else if report.uncorrectable_words > 0 {

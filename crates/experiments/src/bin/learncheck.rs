@@ -18,10 +18,11 @@ fn main() {
     let pre = Prebaked::new(b);
     for model in ModelKind::all() {
         let t0 = std::time::Instant::now();
-        let acc0 = {
-            let mut s = pre.session_at_restart(FrameworkKind::Chainer, model);
-            s.test_accuracy(pre.data())
-        };
+        let mut restart = pre
+            .trial(FrameworkKind::Chainer, model, Dtype::F64)
+            .restore()
+            .expect("pristine checkpoint restores");
+        let acc0 = restart.session.test_accuracy(pre.data());
         let curve = pre.baseline_curve(model, Dtype::F64, b.curve_end_epoch);
         println!(
             "{:<10} acc@restart={:.3} acc@end={:.3} ({:.1}s)",

@@ -10,7 +10,7 @@ use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
-use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode};
+use sefi_core::{CorrupterConfig, CorruptionMode};
 use sefi_float::{BitRange, Precision};
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -59,16 +59,10 @@ fn range_plan<'p>(
     let model = ModelKind::AlexNet;
     let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
     CellPlan::new("fig2", format!("fig2-{label}"), fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
         let mut cfg = CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, seed);
         cfg.mode = CorruptionMode::BitRange(range);
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-        let out = pre.try_resume(fw, model, &ck, pre.budget().resume_epochs)?;
-        Ok(TrialOutcome::ok().with_collapsed(out.collapsed()).with_counters(
-            report.injections,
-            report.nan_redraws,
-            report.skipped,
-        ))
+        let trial = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
+        Ok(trial.resume(pre.budget().resume_epochs)?.outcome)
     })
 }
 

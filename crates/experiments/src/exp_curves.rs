@@ -9,7 +9,7 @@
 use crate::driver::{Experiment, Report};
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -58,17 +58,11 @@ pub fn curve_plan<'p>(
     let epochs = budget.curve_end_epoch - budget.restart_epoch;
     let cell = format!("curve-{label}-{bitflips}");
     CellPlan::new("curves", cell, fw, model, budget.curve_trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
-        let mut outcome = TrialOutcome::ok();
+        let mut trial = pre.trial_from(fw, model, &pristine);
         if bitflips > 0 {
-            let cfg = CorrupterConfig::bit_flips(bitflips, Precision::Fp64, seed);
-            let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-            outcome = outcome.with_counters(report.injections, report.nan_redraws, report.skipped);
+            trial = trial.corrupt(CorrupterConfig::bit_flips(bitflips, Precision::Fp64, seed))?;
         }
-        let out = pre.try_resume(fw, model, &ck, epochs)?;
-        Ok(outcome
-            .with_collapsed(out.collapsed())
-            .with_curve(out.history().iter().map(|r| r.test_accuracy).collect()))
+        Ok(trial.resume(epochs)?.with_curve())
     })
 }
 
@@ -101,8 +95,7 @@ pub fn corrupted_curve(
     bitflips: u64,
     label: &str,
 ) -> Series {
-    let plan = curve_plan(pre, fw, model, bitflips, label);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&curve_plan(pre, fw, model, bitflips, label));
     curve_assemble(pre, bitflips, outcomes)
 }
 

@@ -202,7 +202,7 @@ pub fn forensics_table(pre: &Prebaked) -> (Vec<ScenarioRow>, TextTable) {
     let fw = FrameworkKind::Chainer;
     let model = ModelKind::AlexNet;
     let trials = flips_per_cell(pre);
-    let bytes = Arc::new(pre.checkpoint(fw, model, Dtype::F32).to_bytes_v2());
+    let bytes = Arc::new(pre.checkpoint_shared(fw, model, Dtype::F32).to_bytes_v2());
     let sidecar_bytes =
         Arc::new(EccSidecar::protect(&bytes).expect("pristine bytes protect").to_bytes());
     // Compare against the decode of the pristine bytes (not the in-memory

@@ -13,7 +13,7 @@ use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
-use sefi_core::{Corrupter, CorrupterConfig, NevGuard, RepairPolicy};
+use sefi_core::{CorrupterConfig, NevGuard, RepairPolicy};
 use sefi_float::{NevPolicy, Precision};
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -52,24 +52,21 @@ pub fn guard_plan<'p>(
     let model = ModelKind::AlexNet;
     let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
     CellPlan::new("guard", format!("guard-{bitflips}"), fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
+        let epochs = pre.budget().resume_epochs;
         let cfg = CorrupterConfig::bit_flips_full_range(bitflips, Precision::Fp64, seed);
-        let inj_report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
+        let mut trial = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
+        let unguarded = trial.resume(epochs)?.outcome.collapsed;
 
-        // Unguarded arm.
-        let unguarded = pre.try_resume(fw, model, &ck, pre.budget().resume_epochs)?.collapsed();
-
-        // Guarded arm: scrub, then resume.
-        let mut scrubbed = ck;
+        // Guarded arm: scrub the same corrupted checkpoint, then resume.
         let guard = NevGuard::new(NevPolicy::default(), repair);
-        let report = guard.scrub(&mut scrubbed);
-        let out = pre.try_resume(fw, model, &scrubbed, pre.budget().resume_epochs)?;
-        Ok(TrialOutcome::ok()
-            .with_collapsed(out.collapsed())
-            .with_accuracy(out.final_accuracy().unwrap_or(0.0))
+        let repaired = guard.scrub(trial.checkpoint_mut()).findings.len();
+        let guarded = trial.resume(epochs)?;
+        let accuracy = guarded.training.final_accuracy().unwrap_or(0.0);
+        Ok(guarded
+            .outcome
+            .with_accuracy(accuracy)
             .with_metric("unguarded_collapsed", f64::from(u8::from(unguarded)))
-            .with_metric("repaired", report.findings.len() as f64)
-            .with_counters(inj_report.injections, inj_report.nan_redraws, inj_report.skipped))
+            .with_metric("repaired", repaired as f64))
     })
 }
 
@@ -97,8 +94,7 @@ fn guard_assemble(bitflips: u64, trials: usize, outcomes: &[TrialOutcome]) -> Gu
 
 /// Measure one cell.
 pub fn guard_cell(pre: &Prebaked, repair: RepairPolicy, bitflips: u64, trials: usize) -> GuardCell {
-    let plan = guard_plan(pre, repair, bitflips, trials);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&guard_plan(pre, repair, bitflips, trials));
     guard_assemble(bitflips, trials, &outcomes)
 }
 

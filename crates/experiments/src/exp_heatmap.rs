@@ -10,7 +10,7 @@
 use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
-use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
+use sefi_core::{CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -46,7 +46,6 @@ pub fn heat_plan<'p>(pre: &'p Prebaked, weights: u64, factor: f64) -> CellPlan<'
     let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
     let cell = format!("heat-{weights}-{factor}");
     CellPlan::new("fig7", cell, fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
         let cfg = CorrupterConfig {
             injection_probability: 1.0,
             amount: InjectionAmount::Count(weights),
@@ -56,14 +55,9 @@ pub fn heat_plan<'p>(pre: &'p Prebaked, weights: u64, factor: f64) -> CellPlan<'
             locations: LocationSelection::AllRandom,
             seed,
         };
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-        let mut session = pre.session_at_restart(fw, model);
-        session.restore(&ck).map_err(|e| format!("restore failed: {e}"))?;
-        Ok(TrialOutcome::ok().with_accuracy(session.test_accuracy(pre.data())).with_counters(
-            report.injections,
-            report.nan_redraws,
-            report.skipped,
-        ))
+        let mut run = pre.trial_from(fw, model, &pristine).corrupt(cfg)?.restore()?;
+        let accuracy = run.session.test_accuracy(pre.data());
+        Ok(run.outcome.with_accuracy(accuracy))
     })
     .validated(|o| o.final_accuracy.is_some())
 }
@@ -77,18 +71,18 @@ fn heat_assemble(weights: u64, factor: f64, outcomes: &[TrialOutcome]) -> HeatCe
 
 /// Measure one cell.
 pub fn heat_cell(pre: &Prebaked, weights: u64, factor: f64) -> HeatCell {
-    let plan = heat_plan(pre, weights, factor);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&heat_plan(pre, weights, factor));
     heat_assemble(weights, factor, &outcomes)
 }
 
 /// Full Figure 7 grid plus the baseline accuracy — all twenty grid cells
 /// through one scheduler pool.
 pub fn figure7(pre: &Prebaked) -> (Vec<HeatCell>, f64, TextTable) {
-    let baseline = {
-        let mut s = pre.session_at_restart(FrameworkKind::Chainer, ModelKind::ResNet50);
-        s.test_accuracy(pre.data())
-    };
+    let mut clean = pre
+        .trial(FrameworkKind::Chainer, ModelKind::ResNet50, Dtype::F64)
+        .restore()
+        .expect("pristine checkpoint restores");
+    let baseline = clean.session.test_accuracy(pre.data());
     let mut specs = Vec::new();
     for &w in &WEIGHTS_AXIS {
         for &f in &FACTOR_AXIS {

@@ -8,7 +8,7 @@
 use crate::driver::Experiment;
 use crate::exp_curves::{report_panel, Panel, Series};
 use crate::runner::{CellPlan, Prebaked};
-use sefi_core::{Corrupter, CorrupterConfig, InjectionLog, LocationSelection};
+use sefi_core::{CorrupterConfig, InjectionLog, LocationSelection};
 use sefi_float::Precision;
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_hdf5::Dtype;
@@ -58,21 +58,13 @@ pub fn layer_plan<'p>(
     let epochs = budget.curve_end_epoch - budget.restart_epoch;
     let cell = format!("layer-{}", role_label(role));
     CellPlan::new("fig4", cell, fw, model, budget.curve_trials, move |trial, seed| {
-        let mut ck = (*pristine).clone();
         let mut cfg = CorrupterConfig::bit_flips(LAYER_FLIPS, Precision::Fp64, seed);
         cfg.locations = LocationSelection::Listed(locations.clone());
-        let (report, log) = Corrupter::new(cfg)?.corrupt_with_log(&mut ck)?;
-        let out = pre.try_resume(fw, model, &ck, epochs)?;
-        let mut outcome = TrialOutcome::ok()
-            .with_collapsed(out.collapsed())
-            .with_curve(out.history().iter().map(|r| r.test_accuracy).collect())
-            .with_counters(report.injections, report.nan_redraws, report.skipped);
-        if trial == 0 {
-            // Figure 5 replays trial 0's injections on the other
-            // frameworks; the log must survive a resume.
-            outcome = outcome.with_payload(log.to_json());
-        }
-        Ok(outcome)
+        let run = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
+        let outcome = run.resume(epochs)?.with_curve();
+        // Figure 5 replays trial 0's injections on the other frameworks;
+        // the log must survive a resume.
+        Ok(if trial == 0 { outcome.with_payload(run.log().to_json()) } else { outcome })
     })
 }
 
@@ -127,8 +119,7 @@ pub fn layer_curve(
     model: ModelKind,
     role: LayerRole,
 ) -> (Series, InjectionLog) {
-    let plan = layer_plan(pre, fw, model, role);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&layer_plan(pre, fw, model, role));
     layer_assemble(pre, role, &outcomes)
 }
 

@@ -10,8 +10,8 @@
 use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::table::TextTable;
-use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
-use sefi_float::{BitMask, NevPolicy, Precision};
+use sefi_core::{CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
+use sefi_float::{BitMask, Precision};
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
 use sefi_models::ModelKind;
@@ -42,25 +42,6 @@ pub struct MaskCell {
     pub failed: usize,
 }
 
-/// Accuracy immediately after loading a checkpoint (no retraining).
-fn initial_accuracy(
-    pre: &Prebaked,
-    fw: FrameworkKind,
-    model: ModelKind,
-    ck: &sefi_hdf5::H5File,
-) -> Result<(f64, bool), crate::runner::TrialError> {
-    let mut session = pre.session_at_restart(fw, model);
-    session.restore(ck).map_err(|e| format!("restore failed: {e}"))?;
-    let nev = {
-        let sd = session.network_mut().state_dict();
-        let policy = NevPolicy::default();
-        sd.entries()
-            .iter()
-            .any(|e| e.tensor.data().iter().any(|&v| policy.classify_f64(v as f64).is_some()))
-    };
-    Ok((session.test_accuracy(pre.data()), nev))
-}
-
 /// Declare one mask cell's trainings for the scheduler.
 pub fn mask_plan<'p>(pre: &'p Prebaked, fw: FrameworkKind, mask: &str) -> CellPlan<'p> {
     let model = ModelKind::ResNet50;
@@ -68,7 +49,6 @@ pub fn mask_plan<'p>(pre: &'p Prebaked, fw: FrameworkKind, mask: &str) -> CellPl
     let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
     let mask = mask.to_string();
     CellPlan::new("table6", format!("mask-{mask}"), fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
         let cfg = CorrupterConfig {
             injection_probability: 1.0,
             amount: InjectionAmount::Count(WEIGHTS_PER_TRAINING),
@@ -78,13 +58,12 @@ pub fn mask_plan<'p>(pre: &'p Prebaked, fw: FrameworkKind, mask: &str) -> CellPl
             locations: LocationSelection::AllRandom,
             seed,
         };
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-        let (acc, nev) = initial_accuracy(pre, fw, model, &ck)?;
-        Ok(TrialOutcome::ok().with_collapsed(nev).with_accuracy(acc).with_counters(
-            report.injections,
-            report.nan_redraws,
-            report.skipped,
-        ))
+        // Accuracy immediately after loading, and whether the loaded
+        // weights hold an N-EV (the training would collapse on first use).
+        let mut run = pre.trial_from(fw, model, &pristine).corrupt(cfg)?.restore()?;
+        let nev = run.session.weights_have_nev();
+        let accuracy = run.session.test_accuracy(pre.data());
+        Ok(run.outcome.with_collapsed(nev).with_accuracy(accuracy))
     })
 }
 
@@ -109,19 +88,19 @@ fn mask_assemble(fw: FrameworkKind, bits: u32, mask: &str, outcomes: &[TrialOutc
 
 /// One cell: ten trainings with one mask.
 pub fn mask_cell(pre: &Prebaked, fw: FrameworkKind, bits: u32, mask: &str) -> MaskCell {
-    let plan = mask_plan(pre, fw, mask);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&mask_plan(pre, fw, mask));
     mask_assemble(fw, bits, mask, &outcomes)
 }
 
 /// Error-free row (0 bits): the restart checkpoint's own accuracy.
 pub fn baseline_cell(pre: &Prebaked, fw: FrameworkKind) -> MaskCell {
-    let model = ModelKind::ResNet50;
-    let ck = pre.checkpoint(fw, model, Dtype::F64);
     // The pristine checkpoint restoring is a harness invariant, not a
     // corrupted-trial hazard — an error here is a genuine bug.
-    let (acc, _) = initial_accuracy(pre, fw, model, &ck)
+    let mut clean = pre
+        .trial(fw, ModelKind::ResNet50, Dtype::F64)
+        .restore()
         .unwrap_or_else(|e| panic!("pristine checkpoint failed to load: {e}"));
+    let acc = clean.session.test_accuracy(pre.data());
     MaskCell {
         framework: fw,
         mask: "00000000".to_string(),

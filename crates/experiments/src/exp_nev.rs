@@ -12,7 +12,7 @@ use crate::driver::{Experiment, Report};
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -52,15 +52,9 @@ pub fn nev_plan<'p>(
     let pristine = pre.checkpoint_shared(fw, model, dtype);
     let cell = format!("nev-{}-{bitflips}", precision.width());
     CellPlan::new("nev", cell, fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
         let cfg = CorrupterConfig::bit_flips_full_range(bitflips, precision, seed);
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-        let out = pre.try_resume(fw, model, &ck, pre.budget().resume_epochs)?;
-        Ok(TrialOutcome::ok().with_collapsed(out.collapsed()).with_counters(
-            report.injections,
-            report.nan_redraws,
-            report.skipped,
-        ))
+        let trial = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
+        Ok(trial.resume(pre.budget().resume_epochs)?.outcome)
     })
 }
 
@@ -93,8 +87,7 @@ pub fn nev_cell(
     bitflips: u64,
     trials: usize,
 ) -> NevCell {
-    let plan = nev_plan(pre, fw, model, precision, bitflips, trials);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&nev_plan(pre, fw, model, precision, bitflips, trials));
     nev_assemble(fw, model, bitflips, &outcomes)
 }
 

@@ -31,7 +31,7 @@ use crate::driver::Experiment;
 use crate::runner::{combo_seed, CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
-use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode, LocationSelection};
+use sefi_core::{CorrupterConfig, CorruptionMode, LocationSelection};
 use sefi_float::{BitRange, Precision};
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -162,7 +162,6 @@ pub fn precision_plan<'p>(
     let bit = rel.resolve(precision);
     let cell = format!("prec-{format}-{}", rel.label());
     CellPlan::new("precision", cell, fw, model, trials, move |trial, _seed| {
-        let mut ck = (*pristine).clone();
         // One flip pinned to the stratum's absolute bit; NaN allowed (the
         // point is to observe what the bit does) and the seed shared
         // across formats (see `equivalent_seed`). Scoped to the model
@@ -173,22 +172,16 @@ pub fn precision_plan<'p>(
             CorrupterConfig::bit_flips_full_range(1, precision, equivalent_seed(rel, trial));
         cfg.mode = CorruptionMode::BitRange(BitRange { first_bit: bit, last_bit: bit });
         cfg.locations = LocationSelection::Listed(vec!["predictor".to_string()]);
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
+        let run = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
         // Masked at load: the f32 engine sees the same weight bits.
-        let masked = report
+        let masked = run
+            .report()
             .records
             .first()
             .map(|r| (r.old_value as f32).to_bits() == (r.new_value as f32).to_bits())
             .unwrap_or(false);
-        let out = pre.try_resume(fw, model, &ck, pre.budget().resume_epochs)?;
-        let mut outcome = TrialOutcome::ok()
-            .with_collapsed(out.collapsed())
-            .with_metric("masked", if masked { 1.0 } else { 0.0 })
-            .with_counters(report.injections, report.nan_redraws, report.skipped);
-        if let Some(acc) = out.final_accuracy() {
-            outcome = outcome.with_accuracy(acc);
-        }
-        Ok(outcome)
+        let outcome = run.resume(pre.budget().resume_epochs)?.with_final_accuracy();
+        Ok(outcome.with_metric("masked", if masked { 1.0 } else { 0.0 }))
     })
 }
 
@@ -354,7 +347,6 @@ mod tests {
         for trial in 0..3 {
             let mut drawn = Vec::new();
             for (dtype, precision, _) in formats() {
-                let mut ck = (*pre.checkpoint_shared(fw, model, dtype)).clone();
                 let bit = RelBit::ExpLsb.resolve(precision);
                 let mut cfg = CorrupterConfig::bit_flips_full_range(
                     1,
@@ -363,8 +355,8 @@ mod tests {
                 );
                 cfg.mode = CorruptionMode::BitRange(BitRange { first_bit: bit, last_bit: bit });
                 cfg.locations = LocationSelection::Listed(vec!["predictor".to_string()]);
-                let report = Corrupter::new(cfg).unwrap().corrupt(&mut ck).unwrap();
-                let r = &report.records[0];
+                let trial = pre.trial(fw, model, dtype).corrupt(cfg).unwrap();
+                let r = &trial.report().records[0];
                 drawn.push((r.location.clone(), r.entry_index));
             }
             assert!(

@@ -9,10 +9,10 @@
 //! weights directly degrade accuracy, more at lower precision.
 
 use crate::driver::Experiment;
-use crate::runner::{CellPlan, Prebaked};
+use crate::runner::{CellPlan, Prebaked, Restored};
 use crate::table::TextTable;
 use parking_lot::Mutex;
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::{Dtype, H5File};
@@ -58,10 +58,13 @@ impl<'a> TrainedCheckpoints<'a> {
             return f.clone();
         }
         let budget = *self.pre.budget();
-        let mut session = self.pre.session_at_restart(FrameworkKind::Chainer, model);
-        let out = session.train_to(self.pre.data(), budget.curve_end_epoch);
-        assert!(!out.collapsed(), "error-free training collapsed");
-        let ck = session.checkpoint(dtype);
+        let mut run = self
+            .pre
+            .trial(FrameworkKind::Chainer, model, Dtype::F64)
+            .resume(budget.curve_end_epoch - budget.restart_epoch)
+            .expect("pristine checkpoint restores");
+        assert!(!run.training.collapsed(), "error-free training collapsed");
+        let ck = run.session.checkpoint(dtype);
         self.cache.lock().insert(key, ck.clone());
         ck
     }
@@ -79,7 +82,7 @@ pub fn predict_plan<'p>(
     let pre = trained.pre;
     let budget = *pre.budget();
     let dtype = Dtype::from_precision(precision);
-    let pristine = std::sync::Arc::new(trained.get(model, dtype));
+    let pristine = trained.get(model, dtype);
 
     let cell = format!("predict-{}-{bitflips}", precision.width());
     CellPlan::new(
@@ -89,16 +92,12 @@ pub fn predict_plan<'p>(
         model,
         budget.predict_trials,
         move |trial, seed| {
-            let mut ck = (*pristine).clone();
-            let mut outcome = TrialOutcome::ok();
+            let mut altered = pre.trial_from(FrameworkKind::Chainer, model, &pristine);
             if bitflips > 0 {
                 let cfg = CorrupterConfig::bit_flips_full_range(bitflips, precision, seed);
-                let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-                outcome =
-                    outcome.with_counters(report.injections, report.nan_redraws, report.skipped);
+                altered = altered.corrupt(cfg)?;
             }
-            let mut session = pre.session_at_restart(FrameworkKind::Chainer, model);
-            session.restore(&ck).map_err(|e| format!("restore failed: {e}"))?;
+            let Restored { outcome, mut session } = altered.restore()?;
             // Each run predicts a different slice of the test set ("each
             // prediction processed 1,000 different images").
             let n = budget.predict_images.min(pre.data().len(sefi_data::Split::Test));
@@ -144,8 +143,7 @@ pub fn predict_cell(
     precision: Precision,
     bitflips: u64,
 ) -> PredictCell {
-    let plan = predict_plan(trained, model, precision, bitflips);
-    let outcomes = trained.pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = trained.pre.run_cell(&predict_plan(trained, model, precision, bitflips));
     predict_assemble(model, precision, bitflips, &outcomes)
 }
 

@@ -13,7 +13,7 @@ use crate::exp_layers::{locations_for, role_label, LAYER_FLIPS};
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::{five_number_summary, FiveNum};
 use crate::table::TextTable;
-use sefi_core::{Corrupter, CorrupterConfig, LocationSelection};
+use sefi_core::{CorrupterConfig, LocationSelection};
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -39,13 +39,12 @@ pub struct Propagation {
 
 /// Weights of the error-free continuation at `restart + resume_epochs`.
 fn error_free_weights(pre: &Prebaked) -> Vec<f32> {
-    let budget = *pre.budget();
-    let ck = pre.checkpoint(FrameworkKind::TensorFlow, ModelKind::AlexNet, Dtype::F64);
-    let mut session = pre.session_at_restart(FrameworkKind::TensorFlow, ModelKind::AlexNet);
-    session.restore(&ck).expect("pristine checkpoint restores");
-    let out = session.train_to(pre.data(), budget.restart_epoch + budget.resume_epochs);
-    assert!(!out.collapsed());
-    flat_weights(session.network_mut())
+    let mut run = pre
+        .trial(FrameworkKind::TensorFlow, ModelKind::AlexNet, Dtype::F64)
+        .resume(pre.budget().resume_epochs)
+        .expect("pristine checkpoint restores");
+    assert!(!run.training.collapsed());
+    flat_weights(run.session.network_mut())
 }
 
 fn flat_weights(net: &mut sefi_nn::Network) -> Vec<f32> {
@@ -66,23 +65,18 @@ pub fn propagation_plan<'p>(
     role: LayerRole,
     reference: &'p [f32],
 ) -> CellPlan<'p> {
-    let budget = *pre.budget();
     let fw = FrameworkKind::TensorFlow;
     let model = ModelKind::AlexNet;
     let cell = format!("prop-{}", role_label(role));
     CellPlan::new("fig6", cell, fw, model, 1, move |_, seed| {
-        let mut ck = pre.checkpoint(fw, model, Dtype::F64);
         let mut cfg = CorrupterConfig::bit_flips(LAYER_FLIPS, Precision::Fp64, seed);
         cfg.locations = LocationSelection::Listed(locations_for(pre, fw, model, role));
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-
-        let mut session = pre.session_at_restart(fw, model);
-        session.restore(&ck).map_err(|e| format!("restore failed: {e}"))?;
-        let out = session.train_to(pre.data(), budget.restart_epoch + budget.resume_epochs);
-        if out.collapsed() {
+        let trial = pre.trial(fw, model, Dtype::F64).corrupt(cfg)?;
+        let mut run = trial.resume(pre.budget().resume_epochs)?;
+        if run.training.collapsed() {
             return Err("exponent-MSB-excluded flips collapsed training".into());
         }
-        let corrupted = flat_weights(session.network_mut());
+        let corrupted = flat_weights(run.session.network_mut());
 
         if reference.len() != corrupted.len() {
             return Err(format!(
@@ -102,10 +96,10 @@ pub fn propagation_plan<'p>(
             .map(|(&a, &b)| (a as f64 - b as f64).abs())
             .filter(|&d| d > 0.0)
             .collect();
-        let mut outcome = TrialOutcome::ok()
+        let mut outcome = run
+            .outcome
             .with_metric("differing_weights", diffs.len() as f64)
-            .with_metric("total_weights", reference.len() as f64)
-            .with_counters(report.injections, report.nan_redraws, report.skipped);
+            .with_metric("total_weights", reference.len() as f64);
         let (summary, nan_dropped) = five_number_summary(&diffs);
         outcome = outcome.with_metric("nan_dropped", nan_dropped as f64);
         if let Some(s) = summary {
@@ -141,8 +135,7 @@ fn propagation_assemble(role: LayerRole, outcomes: &[TrialOutcome]) -> Propagati
 
 /// Measure propagation for one injected layer role.
 pub fn propagation_for(pre: &Prebaked, role: LayerRole, reference: &[f32]) -> Propagation {
-    let plan = propagation_plan(pre, role, reference);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&propagation_plan(pre, role, reference));
     propagation_assemble(role, &outcomes)
 }
 

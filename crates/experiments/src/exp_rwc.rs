@@ -12,7 +12,7 @@ use crate::driver::Experiment;
 use crate::runner::{CellPlan, Prebaked};
 use crate::stats::percent;
 use crate::table::{pct, TextTable};
-use sefi_core::{Corrupter, CorrupterConfig};
+use sefi_core::CorrupterConfig;
 use sefi_float::Precision;
 use sefi_frameworks::FrameworkKind;
 use sefi_hdf5::Dtype;
@@ -50,19 +50,10 @@ pub fn rwc_plan<'p>(
     pre.baseline_final_accuracy(model, Dtype::F64);
     let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
     CellPlan::new("rwc", "rwc", fw, model, trials, move |_, seed| {
-        let mut ck = (*pristine).clone();
         let cfg = CorrupterConfig::bit_flips(1, Precision::Fp64, seed);
-        let report = Corrupter::new(cfg)?.corrupt(&mut ck)?;
-        let out = pre.try_resume(fw, model, &ck, pre.budget().resume_epochs)?;
-        let outcome = TrialOutcome::ok().with_collapsed(out.collapsed()).with_counters(
-            report.injections,
-            report.nan_redraws,
-            report.skipped,
-        );
-        Ok(match out.final_accuracy() {
-            Some(acc) => outcome.with_accuracy(acc),
-            None => outcome, // collapsed (cannot happen with MSB excluded)
-        })
+        let trial = pre.trial_from(fw, model, &pristine).corrupt(cfg)?;
+        // A collapsed trial (cannot happen with the MSB excluded) has no accuracy.
+        Ok(trial.resume(pre.budget().resume_epochs)?.with_final_accuracy())
     })
 }
 
@@ -104,8 +95,7 @@ fn rwc_assemble(
 
 /// Measure one cell.
 pub fn rwc_cell(pre: &Prebaked, fw: FrameworkKind, model: ModelKind, trials: usize) -> RwcCell {
-    let plan = rwc_plan(pre, fw, model, trials);
-    let outcomes = pre.run_plan(std::slice::from_ref(&plan)).pop().expect("one cell");
+    let outcomes = pre.run_cell(&rwc_plan(pre, fw, model, trials));
     rwc_assemble(pre, fw, model, &outcomes)
 }
 
@@ -212,9 +202,8 @@ mod tests {
         // exactly the baseline accuracy.
         let pre = Prebaked::new(Budget::smoke());
         let baseline = pre.baseline_final_accuracy(ModelKind::AlexNet, Dtype::F64);
-        let ck = pre.checkpoint(FrameworkKind::PyTorch, ModelKind::AlexNet, Dtype::F64);
-        let out =
-            pre.resume(FrameworkKind::PyTorch, ModelKind::AlexNet, &ck, pre.budget().resume_epochs);
+        let clean = pre.trial(FrameworkKind::PyTorch, ModelKind::AlexNet, Dtype::F64);
+        let out = clean.resume(pre.budget().resume_epochs).unwrap().training;
         assert_eq!(out.final_accuracy().unwrap(), baseline);
     }
 

@@ -196,7 +196,7 @@ fn classes_in_order(mut answers: Vec<sefi_serve::Answer>) -> Vec<u32> {
 pub fn serving_table(pre: &Prebaked) -> (Vec<RateRow>, TextTable) {
     let cfg = engine_config(pre);
     let trials = trials_per_rate(pre);
-    let clean_bytes = Arc::new(pre.checkpoint(cfg.fw, cfg.model, cfg.dtype).to_bytes_v2());
+    let clean_bytes = Arc::new(pre.checkpoint_shared(cfg.fw, cfg.model, cfg.dtype).to_bytes_v2());
     let sidecar = Arc::new(EccSidecar::protect(&clean_bytes).expect("sidecar over clean bytes"));
     let (reqs, labels) = corpus(pre);
     let reqs = Arc::new(reqs);

@@ -131,7 +131,7 @@ pub fn storage_table(pre: &Prebaked) -> (Vec<RegionRow>, TextTable) {
     let fw = FrameworkKind::Chainer;
     let model = ModelKind::AlexNet;
     let trials = flips_per_region(pre);
-    let bytes = Arc::new(pre.checkpoint(fw, model, Dtype::F32).to_bytes_v2());
+    let bytes = Arc::new(pre.checkpoint_shared(fw, model, Dtype::F32).to_bytes_v2());
     // Compare against the decode of the pristine bytes (not the in-memory
     // original) so the classification measures the flip, not the encoder.
     let pristine = Arc::new(H5File::from_bytes(&bytes).expect("pristine v2 bytes decode"));

@@ -9,7 +9,8 @@
 //!    different corruption configurations, and any of them can be used to
 //!    restart the application");
 //! 2. corrupt a copy of that checkpoint with a configured injector;
-//! 3. resume training (or run inference) from the corrupted copy;
+//! 3. resume training (or run inference) from the corrupted copy, restored
+//!    once — steps 2 and 3 are one [`Trial`], built by [`Prebaked::trial`];
 //! 4. compare against the deterministic error-free baseline.
 //!
 //! Scale is controlled by a [`Budget`] (`smoke` / `default` / `paper`);
@@ -50,7 +51,7 @@ pub use adaptive::{
 pub use budget::Budget;
 pub use driver::budget_from_args;
 pub use runner::{
-    combo_seed, combo_seed_parts, CampaignConfig, CellPlan, PhaseGuard, Prebaked, TrialError,
-    TrialResult,
+    combo_seed, combo_seed_parts, CampaignConfig, CellPlan, PhaseGuard, Prebaked, Restored,
+    Resumed, Trial, TrialError, TrialResult,
 };
 pub use sefi_telemetry::TrialOutcome;

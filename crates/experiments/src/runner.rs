@@ -24,11 +24,12 @@
 use crate::budget::Budget;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use sefi_core::{Corrupter, CorrupterConfig, InjectionLog, InjectionReport};
 use sefi_data::SyntheticCifar10;
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_hdf5::{Dataset, Dtype, H5File};
 use sefi_models::ModelKind;
-use sefi_nn::{EpochRecord, StateDict};
+use sefi_nn::{EpochRecord, StateDict, TrainOutcome};
 use sefi_telemetry::{digest64, Aggregator, Event, JsonlSink, Manifest, TrialOutcome, TrialRecord};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -713,46 +714,13 @@ impl Prebaked {
         outcome
     }
 
-    /// Run the `trials` of one experiment cell through the scheduler
-    /// (a single-plan [`Prebaked::run_plan`]), with per-trial fault
-    /// isolation.
-    ///
-    /// Each trial's seed is `combo_seed(fw, model, cell, trial)`; the
-    /// closure receives `(trial, seed)` and returns `Ok(outcome)` or an
-    /// error describing why the trial could not complete. Errors — and
-    /// panics that unwind out of the closure — become recorded
-    /// [`TrialOutcome::failed`] outcomes carrying the reason; the other
-    /// trials of the cell (and the rest of the campaign) keep running.
-    pub fn run_trials(
-        &self,
-        experiment: &str,
-        cell: &str,
-        fw: FrameworkKind,
-        model: ModelKind,
-        trials: usize,
-        f: impl Fn(usize, u64) -> TrialResult + Send + Sync,
-    ) -> Vec<TrialOutcome> {
-        let plan = CellPlan::new(experiment, cell, fw, model, trials, f);
-        self.run_plan(std::slice::from_ref(&plan)).pop().expect("one plan yields one cell")
-    }
-
-    /// [`Prebaked::run_trials`] with a validity check on manifest-cached
-    /// records: a cached non-failed outcome rejected by `valid` (e.g. an
-    /// old-schema record missing a field the caller needs) is re-executed
-    /// instead of served.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_trials_validated(
-        &self,
-        experiment: &str,
-        cell: &str,
-        fw: FrameworkKind,
-        model: ModelKind,
-        trials: usize,
-        valid: impl Fn(&TrialOutcome) -> bool + Send + Sync,
-        f: impl Fn(usize, u64) -> TrialResult + Send + Sync,
-    ) -> Vec<TrialOutcome> {
-        let plan = CellPlan::new(experiment, cell, fw, model, trials, f).validated(valid);
-        self.run_plan(std::slice::from_ref(&plan)).pop().expect("one plan yields one cell")
+    /// Run one declared cell through the scheduler (a one-plan
+    /// [`Prebaked::run_plan`]), with per-trial fault isolation: an error
+    /// or a panic out of a trial closure becomes a recorded
+    /// [`TrialOutcome::failed`] carrying the reason, and the other trials
+    /// keep running.
+    pub fn run_cell(&self, plan: &CellPlan<'_>) -> Vec<TrialOutcome> {
+        self.run_plan(std::slice::from_ref(plan)).pop().expect("one plan yields one cell")
     }
 
     /// The budget in force.
@@ -846,15 +814,6 @@ impl Prebaked {
         .clone()
     }
 
-    /// A session positioned at the restart epoch with the pretrained
-    /// weights — as if it had just trained there.
-    pub fn session_at_restart(&self, fw: FrameworkKind, model: ModelKind) -> Session {
-        let mut session = self.fresh_session(fw, model);
-        let ck = self.checkpoint_shared(fw, model, Dtype::F64);
-        session.restore(&ck).expect("pristine checkpoint restores");
-        session
-    }
-
     /// The memoized pristine checkpoint of `model` at the restart epoch in
     /// `fw`'s layout at the requested precision, shared behind an `Arc`.
     /// Minted once per `(framework, model, dtype)` for the whole campaign;
@@ -883,54 +842,63 @@ impl Prebaked {
         }))
     }
 
-    /// An owned clone of [`Prebaked::checkpoint_shared`]. The clone is
-    /// cheap — datasets share their payload bytes until written — so
-    /// "corrupt a clone of this" costs only the flipped datasets.
-    pub fn checkpoint(&self, fw: FrameworkKind, model: ModelKind, dtype: Dtype) -> H5File {
-        (*self.checkpoint_shared(fw, model, dtype)).clone()
-    }
-
-    /// Resume a (possibly corrupted) checkpoint and train `epochs` more.
-    /// Returns the outcome; the session is discarded. Panics if the
-    /// checkpoint is structurally unloadable — trial closures should use
-    /// [`Prebaked::try_resume`] so that case becomes a recorded failure.
-    pub fn resume(
-        &self,
-        fw: FrameworkKind,
-        model: ModelKind,
-        file: &H5File,
-        epochs: usize,
-    ) -> sefi_nn::TrainOutcome {
-        self.try_resume(fw, model, file, epochs)
-            .expect("corrupted checkpoints remain structurally valid")
-    }
-
-    /// Fallible [`Prebaked::resume`]: a checkpoint the framework cannot
-    /// restore (bit flips can corrupt structure, not just values) becomes
-    /// an `Err` instead of a panic.
+    /// Restore `file` (a possibly corrupted checkpoint) and train `epochs`
+    /// more. A checkpoint the framework cannot restore (bit flips can
+    /// corrupt structure, not just values) becomes an `Err`. The same body
+    /// as [`Trial::resume`], without the builder around it.
     pub fn try_resume(
         &self,
         fw: FrameworkKind,
         model: ModelKind,
         file: &H5File,
         epochs: usize,
-    ) -> Result<sefi_nn::TrainOutcome, TrialError> {
+    ) -> Result<TrainOutcome, TrialError> {
         self.resume_session(fw, model, file, epochs).map(|(_, outcome)| outcome)
     }
 
-    /// [`Prebaked::try_resume`], keeping the resumed session.
+    /// The one restore of every trial: `file` loaded into a fresh session.
+    fn restored_session(
+        &self,
+        fw: FrameworkKind,
+        model: ModelKind,
+        file: &H5File,
+    ) -> Result<Session, TrialError> {
+        let mut session = self.fresh_session(fw, model);
+        session.restore(file).map_err(|e| TrialError::new(format!("restore failed: {e}")))?;
+        Ok(session)
+    }
+
+    /// Restore `file` once and train `epochs` more, keeping the session.
     fn resume_session(
         &self,
         fw: FrameworkKind,
         model: ModelKind,
         file: &H5File,
         epochs: usize,
-    ) -> Result<(Session, sefi_nn::TrainOutcome), TrialError> {
-        let mut session = self.fresh_session(fw, model);
-        session.restore(file).map_err(|e| TrialError::new(format!("restore failed: {e}")))?;
+    ) -> Result<(Session, TrainOutcome), TrialError> {
+        let mut session = self.restored_session(fw, model, file)?;
         let target = session.epoch() + epochs;
         let outcome = session.train_to(&self.data, target);
         Ok((session, outcome))
+    }
+
+    /// A trial over the shared pristine checkpoint of `(fw, model, dtype)`.
+    pub fn trial(&self, fw: FrameworkKind, model: ModelKind, dtype: Dtype) -> Trial<'_> {
+        self.trial_from(fw, model, &self.checkpoint_shared(fw, model, dtype))
+    }
+
+    /// A trial over a clone of `pristine`, a checkpoint in `fw`'s layout.
+    /// Plans hold the shared checkpoint and start each trial from it, so
+    /// minting never happens inside the scheduler pool.
+    pub fn trial_from(&self, fw: FrameworkKind, model: ModelKind, pristine: &H5File) -> Trial<'_> {
+        Trial {
+            pre: self,
+            fw,
+            model,
+            checkpoint: pristine.clone(),
+            report: InjectionReport::default(),
+            log: InjectionLog::new(),
+        }
     }
 
     /// The deterministic error-free resumed trajectory for (model, dtype):
@@ -948,12 +916,13 @@ impl Prebaked {
         let key = (model, dtype, end_epoch);
         let slot = entry_slot(&self.baseline_curves, &key);
         slot.get_or_init(|| {
-            let ck = self.checkpoint_shared(FrameworkKind::Chainer, model, dtype);
-            let mut session = self.fresh_session(FrameworkKind::Chainer, model);
-            session.restore(&ck).expect("pristine checkpoint restores");
-            let out = session.train_to(&self.data, end_epoch);
-            assert!(!out.collapsed(), "error-free baseline collapsed — harness bug");
-            out.history().to_vec()
+            let epochs = end_epoch.saturating_sub(self.budget.restart_epoch);
+            let run = self
+                .trial(FrameworkKind::Chainer, model, dtype)
+                .resume(epochs)
+                .expect("pristine checkpoint restores");
+            assert!(!run.training.collapsed(), "error-free baseline collapsed — harness bug");
+            run.training.history().to_vec()
         })
         .clone()
     }
@@ -965,6 +934,113 @@ impl Prebaked {
             .last()
             .map(|r| r.test_accuracy)
             .expect("resume window is non-empty")
+    }
+}
+
+/// One trial of the checkpoint-alteration protocol, built in the order
+/// the paper runs it: a clone of a pristine checkpoint, altered by
+/// [`Trial::corrupt`] or [`Trial::replay`], then restored **once** into a
+/// fresh session by [`Trial::restore`] or [`Trial::resume`]. The
+/// injection report and log are kept, so what the trial hands back
+/// already carries the report's counters. A trial body states only its
+/// corruption and what its table reads.
+pub struct Trial<'p> {
+    pre: &'p Prebaked,
+    fw: FrameworkKind,
+    model: ModelKind,
+    checkpoint: H5File,
+    report: InjectionReport,
+    log: InjectionLog,
+}
+
+impl Trial<'_> {
+    /// Alter the checkpoint with a configured injector, keeping its
+    /// report and equivalent-injection log.
+    pub fn corrupt(mut self, cfg: CorrupterConfig) -> Result<Self, TrialError> {
+        let (report, log) = Corrupter::new(cfg)?.corrupt_with_log(&mut self.checkpoint)?;
+        self.report = report;
+        self.log = log;
+        Ok(self)
+    }
+
+    /// Alter the checkpoint by replaying a recorded injection log with
+    /// entry indices drawn from `seed` (Figure 5), keeping the report.
+    pub fn replay(mut self, log: &InjectionLog, seed: u64) -> Result<Self, TrialError> {
+        self.report = log.replay(&mut self.checkpoint, seed)?;
+        Ok(self)
+    }
+
+    /// What the alteration changed (empty for an unaltered trial).
+    pub fn report(&self) -> &InjectionReport {
+        &self.report
+    }
+
+    /// The alteration's replayable log (empty unless [`Trial::corrupt`] ran).
+    pub fn log(&self) -> &InjectionLog {
+        &self.log
+    }
+
+    /// The altered checkpoint.
+    pub fn checkpoint(&self) -> &H5File {
+        &self.checkpoint
+    }
+
+    /// The altered checkpoint, for a further in-place pass (a guard's
+    /// scrub) before the next restore.
+    pub fn checkpoint_mut(&mut self) -> &mut H5File {
+        &mut self.checkpoint
+    }
+
+    /// Restore the checkpoint into a fresh session and stop there.
+    pub fn restore(&self) -> Result<Restored, TrialError> {
+        let session = self.pre.restored_session(self.fw, self.model, &self.checkpoint)?;
+        Ok(Restored { outcome: self.counted(), session })
+    }
+
+    /// Restore the checkpoint into a fresh session and train `epochs` more.
+    pub fn resume(&self, epochs: usize) -> Result<Resumed, TrialError> {
+        let (session, training) =
+            self.pre.resume_session(self.fw, self.model, &self.checkpoint, epochs)?;
+        let outcome = self.counted().with_collapsed(training.collapsed());
+        Ok(Resumed { outcome, training, session })
+    }
+
+    fn counted(&self) -> TrialOutcome {
+        let r = &self.report;
+        TrialOutcome::ok().with_counters(r.injections, r.nan_redraws, r.skipped)
+    }
+}
+
+/// A trial restored into a fresh session and not trained.
+pub struct Restored {
+    /// The injection report's counters.
+    pub outcome: TrialOutcome,
+    /// The session at the checkpoint's epoch, holding the altered weights.
+    pub session: Session,
+}
+
+/// A trial restored into a fresh session and resumed.
+pub struct Resumed {
+    /// The injection report's counters and the training's collapse flag.
+    pub outcome: TrialOutcome,
+    /// The resumed training.
+    pub training: TrainOutcome,
+    /// The session where training stopped.
+    pub session: Session,
+}
+
+impl Resumed {
+    /// The outcome plus the final test accuracy, when training completed.
+    pub fn with_final_accuracy(self) -> TrialOutcome {
+        match self.training.final_accuracy() {
+            Some(acc) => self.outcome.with_accuracy(acc),
+            None => self.outcome,
+        }
+    }
+
+    /// The outcome plus the per-epoch test-accuracy curve.
+    pub fn with_curve(self) -> TrialOutcome {
+        self.outcome.with_curve(self.training.history().iter().map(|r| r.test_accuracy).collect())
     }
 }
 
@@ -995,12 +1071,12 @@ mod tests {
     #[test]
     fn prebaked_checkpoint_and_resume_are_deterministic() {
         let pre = Prebaked::new(Budget::smoke());
-        let ck1 = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
-        let ck2 = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
-        assert_eq!(ck1.to_bytes(), ck2.to_bytes());
+        let t1 = pre.trial(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
+        let t2 = pre.trial(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
+        assert_eq!(t1.checkpoint().to_bytes(), t2.checkpoint().to_bytes());
 
-        let o1 = pre.resume(FrameworkKind::Chainer, ModelKind::AlexNet, &ck1, 1);
-        let o2 = pre.resume(FrameworkKind::Chainer, ModelKind::AlexNet, &ck2, 1);
+        let o1 = t1.resume(1).unwrap().training;
+        let o2 = t2.resume(1).unwrap().training;
         assert_eq!(o1.history(), o2.history());
         assert!(!o1.collapsed());
     }
@@ -1025,13 +1101,13 @@ mod tests {
         let model = ModelKind::AlexNet;
         let executed = AtomicUsize::new(0);
         let run = |pre: &Prebaked, trials: usize| {
-            pre.run_trials("unit", "cell", fw, model, trials, |trial, seed| {
+            pre.run_cell(&CellPlan::new("unit", "cell", fw, model, trials, |trial, seed| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 Ok(TrialOutcome::ok()
                     .with_accuracy((seed % 1000) as f64 / 1000.0)
                     .with_curve(vec![trial as f64, 0.5])
                     .with_counters(7, 1, 0))
-            })
+            }))
         };
 
         // First half of the campaign, then the runner is dropped — as if
@@ -1070,13 +1146,13 @@ mod tests {
         let model = ModelKind::AlexNet;
         let executed = AtomicUsize::new(0);
         let run = |pre: &Prebaked, panic_on_2: bool| {
-            pre.run_trials("unit", "cell", fw, model, 5, |trial, seed| {
+            pre.run_cell(&CellPlan::new("unit", "cell", fw, model, 5, |trial, seed| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 if panic_on_2 && trial == 2 {
                     panic!("boom at trial {trial}");
                 }
                 Ok(TrialOutcome::ok().with_accuracy((seed % 1000) as f64 / 1000.0))
-            })
+            }))
         };
 
         // A panic on trial 2 does not stop trials 0,1,3,4; the failure is
@@ -1130,20 +1206,14 @@ mod tests {
     #[test]
     fn err_returning_trial_is_recorded_without_panicking() {
         let pre = Prebaked::new(Budget::smoke());
-        let out = pre.run_trials(
-            "unit",
-            "cell",
-            FrameworkKind::Chainer,
-            ModelKind::AlexNet,
-            3,
-            |trial, _seed| {
-                if trial == 1 {
-                    Err(TrialError::new("restore failed: truncated file"))
-                } else {
-                    Ok(TrialOutcome::ok())
-                }
-            },
-        );
+        let (fw, model) = (FrameworkKind::Chainer, ModelKind::AlexNet);
+        let out = pre.run_cell(&CellPlan::new("unit", "cell", fw, model, 3, |trial, _seed| {
+            if trial == 1 {
+                Err(TrialError::new("restore failed: truncated file"))
+            } else {
+                Ok(TrialOutcome::ok())
+            }
+        }));
         assert!(!out[0].is_failed() && !out[2].is_failed());
         assert!(out[1].is_failed());
         assert_eq!(out[1].failure.as_deref(), Some("restore failed: truncated file"));
@@ -1161,45 +1231,30 @@ mod tests {
         // First pass records outcomes without an accuracy — standing in
         // for records written by an older schema.
         let pre1 = Prebaked::with_campaign(Budget::smoke(), cfg.clone()).unwrap();
-        pre1.run_trials("unit", "cell", fw, model, 2, |_, _| {
+        pre1.run_cell(&CellPlan::new("unit", "cell", fw, model, 2, |_, _| {
             executed.fetch_add(1, Ordering::Relaxed);
             Ok(TrialOutcome::ok())
-        });
+        }));
         assert_eq!(executed.load(Ordering::Relaxed), 2);
         drop(pre1);
 
         // A validated resume rejects them and re-runs; a plain resume of
         // the repaired records then serves from cache.
-        let pre2 = Prebaked::with_campaign(Budget::smoke(), cfg.clone()).unwrap();
-        let out = pre2.run_trials_validated(
-            "unit",
-            "cell",
-            fw,
-            model,
-            2,
-            |o| o.final_accuracy.is_some(),
-            |_, _| {
+        let validated = || {
+            CellPlan::new("unit", "cell", fw, model, 2, |_, _| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 Ok(TrialOutcome::ok().with_accuracy(0.5))
-            },
-        );
+            })
+            .validated(|o| o.final_accuracy.is_some())
+        };
+        let pre2 = Prebaked::with_campaign(Budget::smoke(), cfg.clone()).unwrap();
+        let out = pre2.run_cell(&validated());
         assert_eq!(executed.load(Ordering::Relaxed), 4);
         assert!(out.iter().all(|o| o.final_accuracy.is_some()));
         drop(pre2);
 
         let pre3 = Prebaked::with_campaign(Budget::smoke(), cfg).unwrap();
-        pre3.run_trials_validated(
-            "unit",
-            "cell",
-            fw,
-            model,
-            2,
-            |o| o.final_accuracy.is_some(),
-            |_, _| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                Ok(TrialOutcome::ok().with_accuracy(0.5))
-            },
-        );
+        pre3.run_cell(&validated());
         assert_eq!(executed.load(Ordering::Relaxed), 4);
         assert_eq!(pre3.campaign_totals(), Some((0, 2)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1308,8 +1363,8 @@ mod tests {
             CellPlan::new("unit", "b", fw, model, 2, trial_fn),
         ];
         let pooled = pre.run_plan(&plans);
-        let solo_a = pre.run_trials("unit", "a", fw, model, 3, trial_fn);
-        let solo_b = pre.run_trials("unit", "b", fw, model, 2, trial_fn);
+        let solo_a = pre.run_cell(&CellPlan::new("unit", "a", fw, model, 3, trial_fn));
+        let solo_b = pre.run_cell(&CellPlan::new("unit", "b", fw, model, 2, trial_fn));
         assert_eq!(pooled[0], solo_a);
         assert_eq!(pooled[1], solo_b);
     }
@@ -1344,7 +1399,7 @@ mod tests {
         let b = pre.checkpoint_shared(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
         assert!(Arc::ptr_eq(&a, &b), "same (fw, model, dtype) must share one minted file");
         // A corrupted clone never leaks back into the shared pristine copy.
-        let mut clone = pre.checkpoint(FrameworkKind::Chainer, ModelKind::AlexNet, Dtype::F64);
+        let mut clone = (*a).clone();
         let path = clone.dataset_paths()[0].clone();
         let before = a.dataset(&path).unwrap().bytes().to_vec();
         clone.dataset_mut(&path).unwrap().set_bits(0, 0xFF).unwrap();
@@ -1360,35 +1415,97 @@ mod tests {
         assert_eq!(a, b);
         // Resume through a different framework's checkpoint gives the same
         // trajectory (lossless layout round-trip).
-        let ck_tf = pre.checkpoint(FrameworkKind::TensorFlow, ModelKind::AlexNet, Dtype::F64);
-        let out = pre.resume(
-            FrameworkKind::TensorFlow,
-            ModelKind::AlexNet,
-            &ck_tf,
-            pre.budget().resume_epochs,
-        );
+        let tf = pre.trial(FrameworkKind::TensorFlow, ModelKind::AlexNet, Dtype::F64);
+        let out = tf.resume(pre.budget().resume_epochs).unwrap().training;
         assert_eq!(out.final_accuracy().unwrap(), a);
     }
 
     #[test]
+    fn one_restore_matches_restoring_the_pristine_checkpoint_first() {
+        use sefi_float::Precision;
+        let pre = Prebaked::new(Budget::smoke());
+        let bits = |s: &mut Session| -> Vec<(String, Vec<u32>)> {
+            let sd = s.network_mut().state_dict();
+            sd.entries()
+                .iter()
+                .map(|e| (e.path.clone(), e.tensor.data().iter().map(|v| v.to_bits()).collect()))
+                .collect()
+        };
+        for fw in FrameworkKind::all() {
+            for model in ModelKind::all() {
+                let pristine = pre.checkpoint_shared(fw, model, Dtype::F64);
+                let flips = CorrupterConfig::bit_flips_full_range(100, Precision::Fp64, 7);
+                let clean = pre.trial(fw, model, Dtype::F64);
+                let corrupted = pre.trial(fw, model, Dtype::F64).corrupt(flips).unwrap();
+                assert!(corrupted.report().injections > 0);
+                for trial in [clean, corrupted] {
+                    let mut once = trial.restore().unwrap().session;
+                    // The reference: a session restored to the pristine
+                    // checkpoint, then restored again to the trial's.
+                    let mut twice = pre.fresh_session(fw, model);
+                    twice.restore(&pristine).unwrap();
+                    twice.restore(trial.checkpoint()).unwrap();
+                    let what = format!("{fw:?}/{model:?}/{} flips", trial.report().injections);
+                    assert_eq!(bits(&mut once), bits(&mut twice), "{what}: state_dict");
+                    assert_eq!(once.epoch(), twice.epoch(), "{what}: epoch");
+                    assert_eq!(
+                        once.test_accuracy(pre.data()).to_bits(),
+                        twice.test_accuracy(pre.data()).to_bits(),
+                        "{what}: test accuracy"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trial_outcome_carries_its_report_and_collapse_flag() {
+        use sefi_float::Precision;
+        let pre = Prebaked::new(Budget::smoke());
+        let (fw, model) = (FrameworkKind::Chainer, ModelKind::AlexNet);
+        let counters = |o: &TrialOutcome| (o.injections, o.nan_redraws, o.skipped);
+        let flips = CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, 3);
+        let trial = pre.trial(fw, model, Dtype::F64).corrupt(flips).unwrap();
+        let r = trial.report();
+        let expected = (r.injections, r.nan_redraws, r.skipped);
+        assert!(r.injections > 0 && trial.log().len() == r.records.len());
+
+        let restored = trial.restore().unwrap();
+        assert_eq!(counters(&restored.outcome), expected);
+        assert!(!restored.outcome.collapsed, "a restore alone reaches no verdict");
+        let resumed = trial.resume(1).unwrap();
+        assert_eq!(counters(&resumed.outcome), expected);
+        assert!(resumed.training.collapsed(), "1000 full-range flips collapse training");
+        assert!(resumed.outcome.collapsed);
+
+        // A replay keeps its own report; an unaltered trial counts nothing.
+        let mut scoped = CorrupterConfig::bit_flips(5, Precision::Fp64, 4);
+        scoped.locations = sefi_core::LocationSelection::Listed(vec!["predictor".to_string()]);
+        let logged = pre.trial(fw, model, Dtype::F64).corrupt(scoped).unwrap();
+        let replayed = pre.trial(fw, model, Dtype::F64).replay(logged.log(), 9).unwrap();
+        assert_eq!(replayed.report().attempts, 5);
+        let clean = pre.trial(fw, model, Dtype::F64).resume(1).unwrap();
+        assert_eq!(counters(&clean.outcome), (0, 0, 0));
+        assert!(!clean.outcome.collapsed && clean.with_final_accuracy().final_accuracy.is_some());
+    }
+
+    #[test]
     fn template_clones_resume_exactly_like_fresh_sessions() {
-        use sefi_core::{Corrupter, CorrupterConfig};
         use sefi_float::Precision;
         let pre = Prebaked::new(Budget::smoke());
         let fw = FrameworkKind::Chainer;
         let epochs = pre.budget().resume_epochs;
         for model in ModelKind::all() {
-            let mut ck = pre.checkpoint(fw, model, Dtype::F64);
             let flips = CorrupterConfig::bit_flips(4, Precision::Fp64, 11);
-            Corrupter::new(flips).unwrap().corrupt(&mut ck).unwrap();
-            let (mut resumed, outcome) = pre.resume_session(fw, model, &ck, epochs).unwrap();
-            let config = resumed.config().clone();
+            let trial = pre.trial(fw, model, Dtype::F64).corrupt(flips).unwrap();
+            let Resumed { mut session, training, .. } = trial.resume(epochs).unwrap();
+            let config = session.config().clone();
             let mut reference = Session::new(config.clone());
-            reference.restore(&ck).unwrap();
+            reference.restore(trial.checkpoint()).unwrap();
             let target = reference.epoch() + epochs;
-            assert_eq!(outcome, reference.train_to(pre.data(), target), "{model:?}: history");
+            assert_eq!(training, reference.train_to(pre.data(), target), "{model:?}: history");
             assert_eq!(
-                resumed.checkpoint(Dtype::F64).to_bytes(),
+                session.checkpoint(Dtype::F64).to_bytes(),
                 reference.checkpoint(Dtype::F64).to_bytes(),
                 "{model:?}: final checkpoint"
             );

@@ -92,8 +92,8 @@ fn rwc_is_total_when_nothing_is_injected() {
     let pre = Prebaked::new(Budget::smoke());
     let baseline = pre.baseline_final_accuracy(ModelKind::AlexNet, Dtype::F64);
     for fw in FrameworkKind::all() {
-        let ck = pre.checkpoint(fw, ModelKind::AlexNet, Dtype::F64);
-        let out = pre.resume(fw, ModelKind::AlexNet, &ck, pre.budget().resume_epochs);
+        let clean = pre.trial(fw, ModelKind::AlexNet, Dtype::F64);
+        let out = clean.resume(pre.budget().resume_epochs).unwrap().training;
         assert_eq!(out.final_accuracy().unwrap(), baseline, "{fw:?}");
     }
 }

@@ -170,6 +170,12 @@ impl Session {
         Ok(())
     }
 
+    /// Whether the weights hold an N-EV: the scan a resumed training
+    /// collapses on before its first batch.
+    pub fn weights_have_nev(&mut self) -> bool {
+        self.trainer.weights_have_nev(&mut self.net)
+    }
+
     /// Test-set accuracy right now.
     pub fn test_accuracy(&mut self, data: &SyntheticCifar10) -> f64 {
         evaluate(&mut self.net, data, sefi_data::Split::Test)

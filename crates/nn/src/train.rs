@@ -175,12 +175,13 @@ impl Trainer {
         TrainOutcome::Completed { history }
     }
 
-    fn weights_have_nev(&self, net: &mut Network) -> bool {
+    /// Whether any tensor of `net` (parameters and auxiliary state) holds
+    /// an N-EV under this trainer's policy — the scan a training collapses
+    /// on before its first batch and after every epoch.
+    pub fn weights_have_nev(&self, net: &mut Network) -> bool {
         let nev = &self.config.nev;
         let mut found = false;
-        net.visit_tensors_mut(|_, t, _| {
-            found = found || t.data().iter().any(|&v| nev.classify_f64(v as f64).is_some());
-        });
+        net.visit_tensors_mut(|_, t, _| found = found || nev.any_nev(t.data()));
         found
     }
 }

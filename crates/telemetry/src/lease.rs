@@ -59,14 +59,26 @@ impl LeaseDir {
     /// on success, `None` if another live worker holds it. A lease whose
     /// mtime heartbeat has expired is broken (atomically, via rename) and
     /// re-claimed.
+    ///
+    /// The lease file holds a token unique to this claim, so the holder
+    /// heartbeats and releases only its own file — never a rival's lease
+    /// re-created at the same path after this one was broken as stale.
     pub fn try_claim(&self, key: &str) -> io::Result<Option<Lease>> {
+        static CLAIMS: AtomicU64 = AtomicU64::new(0);
         let path = self.lease_path(key);
         for attempt in 0..2 {
             match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut f) => {
-                    let _ = writeln!(f, "{}", self.owner);
-                    let _ = f.flush();
-                    return Ok(Some(Lease::held(path, self.ttl)));
+                    let nanos = std::time::SystemTime::now()
+                        .duration_since(std::time::UNIX_EPOCH)
+                        .map_or(0, |d| d.as_nanos());
+                    let n = CLAIMS.fetch_add(1, Ordering::Relaxed);
+                    let token = format!("{} {} {n} {nanos}\n", self.owner, std::process::id());
+                    if let Err(e) = f.write_all(token.as_bytes()) {
+                        let _ = fs::remove_file(&path);
+                        return Err(e);
+                    }
+                    return Ok(Some(Lease::held(path, token, self.ttl)));
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     if attempt > 0 || !self.break_if_stale(&path)? {
@@ -112,31 +124,41 @@ impl LeaseDir {
 
 /// A held lease. Heartbeats (mtime refreshes) run on a background thread
 /// every quarter TTL until the lease is dropped; dropping releases the
-/// lease by deleting its file.
+/// lease by deleting its file. Both touch the file only while it still
+/// holds this claim's token.
 pub struct Lease {
     path: PathBuf,
+    token: String,
     stop: Option<mpsc::Sender<()>>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
 }
 
+/// Whether the lease file at `path` still holds `token`.
+fn holds(path: &Path, token: &str) -> bool {
+    fs::read_to_string(path).is_ok_and(|held| held == token)
+}
+
 impl Lease {
-    fn held(path: PathBuf, ttl: Duration) -> Self {
+    fn held(path: PathBuf, token: String, ttl: Duration) -> Self {
         let (stop, stopped) = mpsc::channel::<()>();
-        let beat_path = path.clone();
+        let (beat_path, beat_token) = (path.clone(), token.clone());
         let interval = (ttl / 4).max(Duration::from_millis(10));
         let heartbeat = std::thread::spawn(move || {
             // recv_timeout doubles as the sleep: a send — or the sender
             // dropping, which surfaces as Disconnected — ends the loop
             // immediately instead of after a full interval.
             while matches!(stopped.recv_timeout(interval), Err(mpsc::RecvTimeoutError::Timeout)) {
+                // A lease broken as stale (gone, or re-created by a rival)
+                // is no longer ours: stop beating.
+                if !holds(&beat_path, &beat_token) {
+                    break;
+                }
                 if let Ok(f) = fs::OpenOptions::new().write(true).open(&beat_path) {
                     let _ = f.set_modified(std::time::SystemTime::now());
-                } else {
-                    break; // lease file gone (broken as stale) — stop beating
                 }
             }
         });
-        Lease { path, stop: Some(stop), heartbeat: Some(heartbeat) }
+        Lease { path, token, stop: Some(stop), heartbeat: Some(heartbeat) }
     }
 
     /// Where the lease file lives (tests inspect it).
@@ -151,7 +173,9 @@ impl Drop for Lease {
         if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
         }
-        let _ = fs::remove_file(&self.path);
+        if holds(&self.path, &self.token) {
+            let _ = fs::remove_file(&self.path);
+        }
     }
 }
 
@@ -192,6 +216,33 @@ mod tests {
         let fast = LeaseDir::new(&dir, "alive", Duration::from_millis(30)).unwrap();
         std::thread::sleep(Duration::from_millis(80));
         assert!(fast.try_claim("cell1-w0").unwrap().is_some(), "expired lease must be broken");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_a_broken_lease_leaves_the_rivals_lease_in_place() {
+        let dir = scratch("token");
+        // Same owner string on both sides, as two workers of one process.
+        let ttl = Duration::from_secs(60);
+        let first = LeaseDir::new(&dir, "pid", ttl).unwrap();
+        let second = LeaseDir::new(&dir, "pid", ttl).unwrap();
+        let mut broken = first.try_claim("cell3-w0").unwrap().expect("claim");
+        // The holder stalls past its TTL: its heartbeat stops and the file
+        // ages, so a rival breaks the lease and re-claims the same path.
+        drop(broken.stop.take());
+        let long_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+        fs::File::options()
+            .write(true)
+            .open(broken.path())
+            .unwrap()
+            .set_modified(long_ago)
+            .unwrap();
+        let rival = second.try_claim("cell3-w0").unwrap().expect("stale lease is broken");
+        drop(broken);
+        assert!(rival.path().exists(), "the broken holder deleted its rival's lease");
+        assert!(first.try_claim("cell3-w0").unwrap().is_none(), "rival's lease must still exclude");
+        drop(rival);
+        assert!(!dir.join("cell3-w0.lease").exists(), "the holder releases its own lease");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,10 +8,11 @@
 //! cargo run --release --example checkpoint_diff
 //! ```
 
-use sefi_core::{diff_checkpoint_values, Corrupter, CorrupterConfig, LocationSelection};
+use sefi_core::{Corrupter, CorrupterConfig, LocationSelection};
 use sefi_data::{DataConfig, SyntheticCifar10};
 use sefi_float::Precision;
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
+use sefi_hdf5::forensics::{diff, DiffState};
 use sefi_hdf5::Dtype;
 use sefi_models::{LayerRole, ModelConfig, ModelKind};
 
@@ -53,21 +54,39 @@ fn main() {
     let dirty_ck = dirty.checkpoint(Dtype::F64);
 
     // Diff the two descendants: where did the error propagate?
-    let (summary, diffs) = diff_checkpoint_values(&clean_ck, &dirty_ck).unwrap();
+    let report = diff(&clean_ck, &dirty_ck);
+    let entries: usize =
+        clean_ck.dataset_paths().iter().map(|p| clean_ck.dataset(p).unwrap().len()).sum();
+    // Per changed dataset: differing entries and the largest |diff| (a NaN
+    // counts as infinite divergence); the finite non-zero |diff| values feed
+    // the five-number summary.
+    let mut rows = Vec::new();
+    let mut deltas = Vec::new();
+    for entry in &report.changed {
+        let DiffState::Changed { elements, .. } = entry.state else { continue };
+        let (a, b) =
+            (clean_ck.dataset(&entry.path).unwrap(), dirty_ck.dataset(&entry.path).unwrap());
+        let mut max_abs = 0.0f64;
+        for i in 0..a.len() {
+            let (x, y) = (a.get_f64(i).unwrap(), b.get_f64(i).unwrap());
+            let d = if x.is_nan() || y.is_nan() { f64::INFINITY } else { (x - y).abs() };
+            max_abs = max_abs.max(d);
+            if d.is_finite() && d > 0.0 {
+                deltas.push(d);
+            }
+        }
+        rows.push((entry.path.as_str(), a.len(), elements, max_abs));
+    }
+    let differing: usize = rows.iter().map(|r| r.2).sum();
     println!(
-        "after 2 shared epochs post-injection: {} of {} values differ ({:.1}%)\n",
-        summary.differing,
-        summary.entries,
-        100.0 * summary.differing as f64 / summary.entries as f64
+        "after 2 shared epochs post-injection: {differing} of {entries} values differ ({:.1}%)\n",
+        100.0 * differing as f64 / entries as f64
     );
     println!("{:<42} {:>9} {:>10} {:>12}", "dataset", "entries", "differing", "max |diff|");
-    for row in summary.datasets.iter().take(12) {
-        println!(
-            "{:<42} {:>9} {:>10} {:>12.3e}",
-            row.location, row.entries, row.differing, row.max_abs_diff
-        );
+    for (location, entries, differing, max_abs) in rows.iter().take(12) {
+        println!("{location:<42} {entries:>9} {differing:>10} {max_abs:>12.3e}");
     }
-    if let Some(fence) = sefi_experiments_stats(&diffs) {
+    if let Some(fence) = five_number_summary(&deltas) {
         println!(
             "\nnon-zero |diff| five-number summary: min {:.2e}  Q1 {:.2e}  median {:.2e}  Q3 {:.2e}  max {:.2e}",
             fence.0, fence.1, fence.2, fence.3, fence.4
@@ -77,7 +96,7 @@ fn main() {
 
 /// Local five-number summary (the experiments crate has a richer one; the
 /// example stays dependency-light).
-fn sefi_experiments_stats(xs: &[f64]) -> Option<(f64, f64, f64, f64, f64)> {
+fn five_number_summary(xs: &[f64]) -> Option<(f64, f64, f64, f64, f64)> {
     if xs.is_empty() {
         return None;
     }
