@@ -8,10 +8,22 @@
 //! and exactly one payload section. Both sides are measured from disk and
 //! in memory, alongside full encode/decode throughput so the per-section
 //! bookkeeping overhead stays visible.
+//!
+//! The trial rows time the injector and the loader on the campaign's own
+//! checkpoints (Chainer, f64, `default` budget scale): a 1000-flip
+//! corruption of ResNet50 under each corruption mode, each iteration on a
+//! fresh clone of the pristine file as a trial does (the clone alone is
+//! its own row), and per model a restore into a session and the N-EV
+//! scan a resumed training runs before its first batch.
 
 use sefi_bench::harness::{host_threads, time_ns, write_json, Cli, Gates};
 use sefi_bench::layered_checkpoint;
+use sefi_core::{Corrupter, CorrupterConfig, CorruptionMode};
+use sefi_experiments::Budget;
+use sefi_float::{BitMask, Precision};
+use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_hdf5::{Dtype, H5File};
+use sefi_models::ModelKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -130,9 +142,12 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&dir);
 
+    trial_rows(per_op, &mut record);
+
     let result = BenchFile {
         schema: 1,
-        note: "v1 vs v2 checkpoint container I/O; regenerate with \
+        note: "v1 vs v2 checkpoint container I/O, plus a trial's inject, restore and \
+               N-EV scan on the default-budget checkpoints; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_ckpt_io`"
             .into(),
         host_threads: host_threads(),
@@ -154,6 +169,71 @@ fn main() {
         gates.floor("lazy speedup", result.lazy_speedup_vs_v1_full_decode, want);
     }
     gates.finish();
+}
+
+/// A session at the campaign's `default` scale and its pristine f64
+/// checkpoint (untrained weights: restore and scan cost the same).
+fn default_session(model: ModelKind) -> (Session, H5File) {
+    let mut cfg = SessionConfig::new(FrameworkKind::Chainer, model, 7);
+    cfg.model_config = Budget::by_name("default").expect("built-in budget").model_config();
+    let mut session = Session::new(cfg);
+    let file = session.checkpoint(Dtype::F64);
+    (session, file)
+}
+
+/// The inject, restore and scan rows (see the module docs).
+fn trial_rows(per_op: Duration, record: &mut impl FnMut(&str, f64, bool) -> f64) {
+    let (_, pristine) = default_session(ModelKind::ResNet50);
+    record(
+        "checkpoint_clone_resnet50",
+        time_ns(per_op, 3, 100_000, || {
+            std::hint::black_box(std::hint::black_box(&pristine).clone());
+        }),
+        false,
+    );
+    let modes = [
+        ("bit_range", CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, 11)),
+        (
+            "bit_mask",
+            CorrupterConfig {
+                mode: CorruptionMode::BitMask(BitMask::parse("11101101").expect("valid mask")),
+                ..CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, 11)
+            },
+        ),
+        (
+            "scaling_factor",
+            CorrupterConfig {
+                mode: CorruptionMode::ScalingFactor(4500.0),
+                ..CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, 11)
+            },
+        ),
+    ];
+    for (mode, cfg) in modes {
+        let corrupter = Corrupter::new(cfg).expect("valid config");
+        record(
+            &format!("inject_1000_{mode}_resnet50"),
+            time_ns(per_op, 3, 100_000, || {
+                let mut file = pristine.clone();
+                std::hint::black_box(corrupter.corrupt(&mut file).expect("corrupts"));
+            }),
+            false,
+        );
+    }
+    for model in [ModelKind::ResNet50, ModelKind::Vgg16, ModelKind::AlexNet] {
+        let (mut session, file) = default_session(model);
+        record(
+            &format!("restore_{}", model.id()),
+            time_ns(per_op, 3, 100_000, || session.restore(&file).expect("restores")),
+            false,
+        );
+        record(
+            &format!("nev_scan_{}", model.id()),
+            time_ns(per_op, 3, 100_000, || {
+                std::hint::black_box(session.weights_have_nev());
+            }),
+            false,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,19 @@
 //! The injection engine.
+//!
+//! A corrupt call resolves its locations once: one walk of the file lends
+//! every selected dataset mutably into a slot table, with the paths kept
+//! in one shared string. After that an injection is an RNG draw, the bit
+//! arithmetic on one entry, and the record's location string — no path is
+//! split, looked up or copied per flip.
 
 use crate::config::{CorrupterConfig, CorruptionMode, InjectionAmount, LocationSelection};
 use crate::error::CorruptError;
 use crate::log::{InjectionLog, LogRecord};
 use crate::report::{InjectionRecord, InjectionReport, ValueChange};
-use sefi_float::{corrupt_int, minimal_bit_width, FpValue};
-use sefi_hdf5::H5File;
+use sefi_float::{corrupt_int, minimal_bit_width, BitMask, FpValue};
+use sefi_hdf5::{Dataset, H5File};
 use sefi_rng::DetRng;
+use std::ops::Range;
 use std::path::Path;
 
 /// Bound on the NaN-avoidance redraw loop. The paper retries "until a valid
@@ -18,6 +25,121 @@ const MAX_NAN_REDRAWS: u64 = 10_000;
 /// A configured, validated fault injector.
 pub struct Corrupter {
     config: CorrupterConfig,
+}
+
+/// What one injection does to one entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Action<'m> {
+    /// Flip one bit: of the stored float bits, or — on an integer
+    /// dataset — of the magnitude, with Python-`bin()` semantics.
+    Flip(u32),
+    /// XOR `mask` placed at an offset into the stored float bits.
+    Mask(&'m BitMask, u32),
+    /// Multiply the float value by a factor, rounded at the stored
+    /// precision.
+    Scale(f64),
+}
+
+impl Action<'_> {
+    /// The action as reports and logs record it.
+    fn change(self) -> ValueChange {
+        match self {
+            Action::Flip(bit) => ValueChange::BitFlip { bit },
+            Action::Mask(mask, offset) => {
+                ValueChange::MaskApplied { offset, bits_flipped: mask.ones() }
+            }
+            Action::Scale(factor) => ValueChange::Scaled { factor },
+        }
+    }
+}
+
+/// The per-injection step the corrupter and log replay share: apply
+/// `action` to entry `index` of `ds` and return the old and new values
+/// widened to `f64`.
+///
+/// Float datasets transform their stored bits at their own precision.
+/// Integer datasets (I8Q included) take only bit flips, of the magnitude
+/// within its minimal binary width (Section IV-B, whatever the corruption
+/// mode). `Ok(None)` means the result was refused and nothing was written:
+/// an integer flip whose magnitude overflows, or — with `refuse_nev` — a
+/// float result that is NaN or infinite. An action the target cannot take
+/// (a bit beyond its width, a scale or mask on integers) is an error; only
+/// a replayed log can ask for one.
+pub(crate) fn apply_step(
+    ds: &mut Dataset,
+    index: usize,
+    action: Action<'_>,
+    refuse_nev: bool,
+) -> Result<Option<(f64, f64)>, CorruptError> {
+    let Some(precision) = ds.dtype().precision() else {
+        let Action::Flip(bit) = action else {
+            return Err(CorruptError::Log(format!(
+                "{:?} cannot be applied to an integer dataset",
+                action.change()
+            )));
+        };
+        let old = ds.get_i64(index)?;
+        let width = minimal_bit_width(old);
+        if bit >= width {
+            return Err(CorruptError::Log(format!(
+                "logged bit {bit} exceeds the {width}-bit magnitude of integer value {old}"
+            )));
+        }
+        return match corrupt_int(old, bit) {
+            Some(new) => {
+                ds.set_i64(index, new)?;
+                Ok(Some((old as f64, new as f64)))
+            }
+            None => Ok(None),
+        };
+    };
+    let old = FpValue::from_bits(precision, ds.get_bits(index)?);
+    let new = match action {
+        Action::Flip(bit) => {
+            if bit >= precision.width() {
+                return Err(CorruptError::Log(format!(
+                    "logged bit {bit} exceeds {}-bit replay precision",
+                    precision.width()
+                )));
+            }
+            FpValue::from_bits(precision, old.to_bits() ^ (1u64 << bit))
+        }
+        Action::Mask(mask, offset) => {
+            FpValue::from_bits(precision, mask.apply(old.to_bits(), offset))
+        }
+        Action::Scale(factor) => FpValue::from_f64(precision, old.to_f64() * factor),
+    };
+    if refuse_nev && (new.is_nan() || new.is_infinite()) {
+        return Ok(None);
+    }
+    ds.set_bits(index, new.to_bits())?;
+    Ok(Some((old.to_f64(), new.to_f64())))
+}
+
+/// One resolved injection target: a non-empty dataset lent for the whole
+/// corrupt call, and where its path sits in [`Targets::paths`].
+struct Slot<'f> {
+    path: Range<usize>,
+    ds: &'f mut Dataset,
+}
+
+/// A corrupt call's locations, resolved once, in the order the injector
+/// draws from.
+struct Targets<'f> {
+    /// The path of every dataset in the file, concatenated.
+    paths: String,
+    slots: Vec<Slot<'f>>,
+}
+
+impl Targets<'_> {
+    fn path(&self, slot: usize) -> &str {
+        &self.paths[self.slots[slot].path.clone()]
+    }
+}
+
+/// True when the dataset at `path` is `location` or lies below it.
+fn is_under(path: &str, location: &str) -> bool {
+    path.strip_prefix(location).is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 impl Corrupter {
@@ -34,7 +156,41 @@ impl Corrupter {
 
     /// Corrupt a checkpoint in place and report what changed.
     pub fn corrupt(&self, file: &mut H5File) -> Result<InjectionReport, CorruptError> {
-        let (report, _log) = self.corrupt_with_log(file)?;
+        let mut targets = self.resolve(file)?;
+        // Upfront, file-aware precision validation over every eligible
+        // location (only those selected): a mismatched dataset fails
+        // before the first injection mutates anything.
+        for (i, slot) in targets.slots.iter().enumerate() {
+            self.config.check_precision(targets.path(i), slot.ds.dtype().precision())?;
+        }
+        let attempts = match self.config.amount {
+            InjectionAmount::Count(n) => n,
+            // "The total number of entries … that can be corrupted",
+            // counted within the resolved locations.
+            InjectionAmount::Percentage(p) => {
+                let total: u64 = targets.slots.iter().map(|s| s.ds.len() as u64).sum();
+                ((total as f64) * p / 100.0).round() as u64
+            }
+        };
+        let mut rng = DetRng::new(self.config.seed).substream("injector");
+        let mut report = InjectionReport { attempts, ..Default::default() };
+        if self.config.injection_probability >= 1.0 {
+            // Every attempt makes a record: room for them up front, within
+            // a bound for huge percentage runs.
+            report.records.reserve(attempts.min(1 << 16) as usize);
+        }
+        for _ in 0..attempts {
+            // Probability gate first (one Bernoulli per attempt, matching
+            // the paper's "the injection is attempted … we change the value
+            // with a probability of injection_probability").
+            if !rng.bernoulli(self.config.injection_probability) {
+                report.skipped += 1;
+                continue;
+            }
+            let record = self.inject_once(&mut targets, &mut rng, &mut report)?;
+            report.records.push(record);
+            report.injections += 1;
+        }
         Ok(report)
     }
 
@@ -46,31 +202,10 @@ impl Corrupter {
         &self,
         file: &mut H5File,
     ) -> Result<(InjectionReport, InjectionLog), CorruptError> {
-        let locations = self.resolve_locations(file)?;
-        // Upfront, file-aware precision validation over every eligible
-        // location (only those selected by `locations`): a mismatched
-        // dataset fails before the first injection mutates anything.
-        for location in &locations {
-            self.config.check_precision(location, file.dataset(location)?.dtype().precision())?;
-        }
-        let attempts = self.num_attempts(file, &locations);
-        let mut rng = DetRng::new(self.config.seed).substream("injector");
-        let mut report = InjectionReport::default();
+        let report = self.corrupt(file)?;
         let mut log = InjectionLog::new();
-        report.attempts = attempts;
-
-        for _ in 0..attempts {
-            // Probability gate first (one Bernoulli per attempt, matching
-            // the paper's "the injection is attempted … we change the value
-            // with a probability of injection_probability").
-            if !rng.bernoulli(self.config.injection_probability) {
-                report.skipped += 1;
-                continue;
-            }
-            let record = self.inject_once(file, &locations, &mut rng, &mut report)?;
-            log.push(LogRecord::from_record(&record));
-            report.records.push(record);
-            report.injections += 1;
+        for record in &report.records {
+            log.push(LogRecord::from_record(record));
         }
         Ok((report, log))
     }
@@ -81,6 +216,162 @@ impl Corrupter {
     /// obtained").
     fn inject_once(
         &self,
+        targets: &mut Targets<'_>,
+        rng: &mut DetRng,
+        report: &mut InjectionReport,
+    ) -> Result<InjectionRecord, CorruptError> {
+        let mut redraws = 0u64;
+        loop {
+            let slot = rng.index(targets.slots.len());
+            let ds = &mut *targets.slots[slot].ds;
+            let entry_index = rng.index(ds.len());
+            let action = match ds.dtype().precision() {
+                Some(precision) => {
+                    // Defense in depth: every location was already checked
+                    // upfront in `corrupt`.
+                    if precision != self.config.float_precision {
+                        return Err(CorruptError::PrecisionMismatch {
+                            location: targets.path(slot).to_string(),
+                            stored: precision,
+                            configured: self.config.float_precision,
+                        });
+                    }
+                    match &self.config.mode {
+                        CorruptionMode::BitRange(range) => {
+                            Action::Flip(range.nth(rng.below(range.len() as u64) as u32))
+                        }
+                        CorruptionMode::BitMask(mask) => {
+                            let max = mask
+                                .max_offset(precision)
+                                .expect("validated against this precision");
+                            Action::Mask(mask, rng.below(max as u64 + 1) as u32)
+                        }
+                        CorruptionMode::ScalingFactor(factor) => Action::Scale(*factor),
+                    }
+                }
+                // Integer dataset: Python-bin() semantics — flip one random
+                // bit within the magnitude's minimal binary width
+                // (Section IV-B, regardless of corruption mode).
+                None => {
+                    let width = minimal_bit_width(ds.get_i64(entry_index)?);
+                    Action::Flip(rng.below(width as u64) as u32)
+                }
+            };
+            match apply_step(ds, entry_index, action, !self.config.allow_nan_values)? {
+                Some((old_value, new_value)) => {
+                    return Ok(InjectionRecord {
+                        order: report.injections,
+                        location: targets.path(slot).to_string(),
+                        entry_index,
+                        change: action.change(),
+                        old_value,
+                        new_value,
+                    });
+                }
+                // A NaN/Inf float or an overflowing integer magnitude (the
+                // |i64::MIN| edge): redraw, counting both alike so
+                // `report.nan_redraws` covers every redrawn attempt.
+                None => {
+                    redraws += 1;
+                    report.nan_redraws += 1;
+                    if redraws > MAX_NAN_REDRAWS {
+                        return Err(CorruptError::NanRetryExhausted {
+                            location: targets.path(slot).to_string(),
+                            index: entry_index,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Resolve the location selection into the non-empty datasets it
+    /// names, lent for the whole call: every dataset in path order for
+    /// `AllRandom`; for `Listed`, each location's datasets ("all
+    /// sublocations inside a location", Table I), sorted by path string
+    /// without duplicates.
+    fn resolve<'f>(&self, file: &'f mut H5File) -> Result<Targets<'f>, CorruptError> {
+        if let LocationSelection::Listed(locations) = &self.config.locations {
+            if let Some(missing) = locations.iter().find(|l| file.get(l).is_none()) {
+                return Err(CorruptError::LocationNotFound(missing.clone()));
+            }
+        }
+        let mut paths = String::new();
+        let mut slots = Vec::new();
+        file.datasets_mut(|path, ds| {
+            let start = paths.len();
+            paths.push_str(path);
+            slots.push(Slot { path: start..paths.len(), ds });
+        });
+        if let LocationSelection::Listed(locations) = &self.config.locations {
+            slots.retain(|s| locations.iter().any(|l| is_under(&paths[s.path.clone()], l)));
+            slots.sort_unstable_by(|a, b| paths[a.path.clone()].cmp(&paths[b.path.clone()]));
+        }
+        slots.retain(|s| !s.ds.is_empty());
+        if slots.is_empty() {
+            return Err(CorruptError::NothingToCorrupt);
+        }
+        Ok(Targets { paths, slots })
+    }
+}
+
+/// Convenience wrapper mirroring the original command-line tool: load an
+/// on-disk checkpoint, corrupt it, write it back, return the report.
+pub fn corrupt_file(
+    path: impl AsRef<Path>,
+    config: CorrupterConfig,
+) -> Result<InjectionReport, CorruptError> {
+    let corrupter = Corrupter::new(config)?;
+    let mut file = H5File::load(&path)?;
+    let report = corrupter.corrupt(&mut file)?;
+    file.save(&path)?;
+    Ok(report)
+}
+
+/// The path-addressed injector this module replaced, kept as the oracle
+/// the slot-addressed one is checked against: every flip looks its
+/// location up by path and every location is re-resolved per use.
+#[cfg(test)]
+pub(crate) mod path_oracle {
+    use super::*;
+
+    /// Corrupt `file` exactly as the path-based injector did.
+    pub fn corrupt_with_log(
+        config: &CorrupterConfig,
+        file: &mut H5File,
+    ) -> Result<(InjectionReport, InjectionLog), CorruptError> {
+        let locations = resolve_locations(config, file)?;
+        for location in &locations {
+            config.check_precision(location, file.dataset(location)?.dtype().precision())?;
+        }
+        let attempts = match config.amount {
+            InjectionAmount::Count(n) => n,
+            InjectionAmount::Percentage(p) => {
+                let total: u64 = locations
+                    .iter()
+                    .map(|l| file.dataset(l).map(|d| d.len() as u64).unwrap_or(0))
+                    .sum();
+                ((total as f64) * p / 100.0).round() as u64
+            }
+        };
+        let mut rng = DetRng::new(config.seed).substream("injector");
+        let mut report = InjectionReport { attempts, ..Default::default() };
+        let mut log = InjectionLog::new();
+        for _ in 0..attempts {
+            if !rng.bernoulli(config.injection_probability) {
+                report.skipped += 1;
+                continue;
+            }
+            let record = inject_once(config, file, &locations, &mut rng, &mut report)?;
+            log.push(LogRecord::from_record(&record));
+            report.records.push(record);
+            report.injections += 1;
+        }
+        Ok((report, log))
+    }
+
+    fn inject_once(
+        config: &CorrupterConfig,
         file: &mut H5File,
         locations: &[String],
         rng: &mut DetRng,
@@ -91,19 +382,9 @@ impl Corrupter {
             let location = rng.choose(locations).clone();
             let ds = file.dataset_mut(&location)?;
             let entry_index = rng.index(ds.len());
-
             let candidate = if let Some(precision) = ds.dtype().precision() {
-                // Defense in depth: every eligible location was already
-                // checked upfront in `corrupt_with_log`.
-                if precision != self.config.float_precision {
-                    return Err(CorruptError::PrecisionMismatch {
-                        location,
-                        stored: precision,
-                        configured: self.config.float_precision,
-                    });
-                }
                 let old = FpValue::from_bits(precision, ds.get_bits(entry_index)?);
-                let (new, change) = match &self.config.mode {
+                let (new, change) = match &config.mode {
                     CorruptionMode::BitRange(range) => {
                         let bit = range.nth(rng.below(range.len() as u64) as u32);
                         (
@@ -112,8 +393,7 @@ impl Corrupter {
                         )
                     }
                     CorruptionMode::BitMask(mask) => {
-                        let max =
-                            mask.max_offset(precision).expect("validated against this precision");
+                        let max = mask.max_offset(precision).expect("validated");
                         let offset = rng.below(max as u64 + 1) as u32;
                         (
                             FpValue::from_bits(precision, mask.apply(old.to_bits(), offset)),
@@ -125,48 +405,25 @@ impl Corrupter {
                         ValueChange::Scaled { factor: *factor },
                     ),
                 };
-                if !self.config.allow_nan_values && (new.is_nan() || new.is_infinite()) {
-                    redraws += 1;
-                    report.nan_redraws += 1;
-                    if redraws > MAX_NAN_REDRAWS {
-                        return Err(CorruptError::NanRetryExhausted {
-                            location,
-                            index: entry_index,
-                        });
-                    }
-                    continue;
+                if !config.allow_nan_values && (new.is_nan() || new.is_infinite()) {
+                    None
+                } else {
+                    Some((old.to_f64(), new.to_bits(), new.to_f64(), change))
                 }
-                Some((old.to_f64(), new.to_bits(), new.to_f64(), change))
             } else {
-                // Integer dataset: Python-bin() semantics — flip one random
-                // bit within the magnitude's minimal binary width
-                // (Section IV-B, regardless of corruption mode).
                 let old = ds.get_i64(entry_index)?;
-                let width = minimal_bit_width(old);
-                let bit = rng.below(width as u64) as u32;
-                match corrupt_int(old, bit) {
-                    Some(new) => {
-                        Some((old as f64, new as u64, new as f64, ValueChange::BitFlip { bit }))
-                    }
-                    None => {
-                        // Magnitude overflow (|i64::MIN| edge): redraw, and
-                        // account for it exactly like the float NaN path so
-                        // `report.nan_redraws` covers every redrawn attempt.
-                        redraws += 1;
-                        report.nan_redraws += 1;
-                        if redraws > MAX_NAN_REDRAWS {
-                            return Err(CorruptError::NanRetryExhausted {
-                                location,
-                                index: entry_index,
-                            });
-                        }
-                        continue;
-                    }
-                }
+                let bit = rng.below(minimal_bit_width(old) as u64) as u32;
+                corrupt_int(old, bit)
+                    .map(|new| (old as f64, new as u64, new as f64, ValueChange::BitFlip { bit }))
             };
-
-            let (old_value, new_bits, new_value, change) =
-                candidate.expect("loop continues on redraw");
+            let Some((old_value, new_bits, new_value, change)) = candidate else {
+                redraws += 1;
+                report.nan_redraws += 1;
+                if redraws > MAX_NAN_REDRAWS {
+                    return Err(CorruptError::NanRetryExhausted { location, index: entry_index });
+                }
+                continue;
+            };
             let ds = file.dataset_mut(&location)?;
             if ds.dtype().is_float() {
                 ds.set_bits(entry_index, new_bits)?;
@@ -184,10 +441,12 @@ impl Corrupter {
         }
     }
 
-    /// Expand the location selection into concrete, non-empty dataset paths.
-    fn resolve_locations(&self, file: &H5File) -> Result<Vec<String>, CorruptError> {
+    fn resolve_locations(
+        config: &CorrupterConfig,
+        file: &H5File,
+    ) -> Result<Vec<String>, CorruptError> {
         let mut out = Vec::new();
-        match &self.config.locations {
+        match &config.locations {
             LocationSelection::AllRandom => out = file.dataset_paths(),
             LocationSelection::Listed(locs) => {
                 for loc in locs {
@@ -206,42 +465,13 @@ impl Corrupter {
         }
         Ok(out)
     }
-
-    /// Attempts implied by the configured amount, counting entries within
-    /// the resolved locations ("the total number of entries … that can be
-    /// corrupted").
-    fn num_attempts(&self, file: &H5File, locations: &[String]) -> u64 {
-        match self.config.amount {
-            InjectionAmount::Count(n) => n,
-            InjectionAmount::Percentage(p) => {
-                let total: u64 = locations
-                    .iter()
-                    .map(|l| file.dataset(l).map(|d| d.len() as u64).unwrap_or(0))
-                    .sum();
-                ((total as f64) * p / 100.0).round() as u64
-            }
-        }
-    }
-}
-
-/// Convenience wrapper mirroring the original command-line tool: load an
-/// on-disk checkpoint, corrupt it, write it back, return the report.
-pub fn corrupt_file(
-    path: impl AsRef<Path>,
-    config: CorrupterConfig,
-) -> Result<InjectionReport, CorruptError> {
-    let corrupter = Corrupter::new(config)?;
-    let mut file = H5File::load(&path)?;
-    let report = corrupter.corrupt(&mut file)?;
-    file.save(&path)?;
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sefi_float::{BitMask, BitRange, NevPolicy, Precision};
-    use sefi_hdf5::{Dataset, Dtype};
+    use sefi_float::{BitRange, NevPolicy, Precision};
+    use sefi_hdf5::Dtype;
 
     fn test_file(dtype: Dtype) -> H5File {
         let mut f = H5File::new();
@@ -535,6 +765,163 @@ mod tests {
         assert_eq!(report.injections, 5);
         let loaded = H5File::load(&p).unwrap();
         assert_ne!(loaded, test_file(Dtype::F64));
+    }
+
+    /// A file mixing every real dtype's weights with integer counters, an
+    /// empty dataset, and sibling names that sort differently as path
+    /// strings (`a.b/…` < `a/…`) than in tree order (`a` < `a.b`).
+    fn oracle_file(dtype: Dtype, seed: u64, aux_f64: bool) -> H5File {
+        let mut rng = DetRng::new(seed);
+        let mut values = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| match i % 11 {
+                    0 => 1e-30,
+                    1 => -1e-30,
+                    _ => (rng.uniform() as f32 - 0.5) * 4.0,
+                })
+                .collect()
+        };
+        let mut f = H5File::new();
+        for (path, n) in [("model/a/W", 24), ("model/a/b", 4), ("model/a.b/W", 9), ("model/z", 5)] {
+            f.create_dataset(path, Dataset::from_f32(&values(n), &[n], dtype).unwrap()).unwrap();
+        }
+        f.create_dataset("model/empty", Dataset::zeros(&[0], dtype)).unwrap();
+        f.create_dataset("meta/epoch", Dataset::scalar_i64(seed as i64 % 40)).unwrap();
+        f.create_dataset("meta/step", Dataset::from_i64(&[7, -300], &[2], Dtype::I32).unwrap())
+            .unwrap();
+        if aux_f64 {
+            f.create_dataset("aux/stats", Dataset::from_f32(&values(3), &[3], Dtype::F64).unwrap())
+                .unwrap();
+        }
+        f
+    }
+
+    const ORACLE_LOCATIONS: [&str; 9] = [
+        "model",
+        "model/a",
+        "model/a.b",
+        "model/a.b/W",
+        "model/z",
+        "meta/epoch",
+        "model/empty",
+        "aux",
+        "model/ghost",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+        #[test]
+        fn slot_corrupter_matches_the_path_oracle(
+            dtype_pick in 0usize..5,
+            mode_pick in 0usize..3,
+            mode_param in 0u32..64,
+            location_picks in proptest::prelude::prop::collection::vec(0usize..12, 0..4),
+            amount_pick in 0u64..160,
+            percentage in proptest::prelude::any::<bool>(),
+            probability_pick in 0usize..4,
+            allow_nan in proptest::prelude::any::<bool>(),
+            precision_pick in 0usize..5,
+            aux_f64 in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000_000,
+        ) {
+            let dtypes = [Dtype::F16, Dtype::BF16, Dtype::F32, Dtype::F64, Dtype::I8Q];
+            let dtype = dtypes[dtype_pick];
+            // Mostly the file's own precision; sometimes another one, which
+            // must fail before anything is written.
+            let precision = match (dtype.precision(), precision_pick) {
+                (Some(p), 0..=2) => p,
+                _ => [Precision::Fp16, Precision::Bf16, Precision::Fp32, Precision::Fp64]
+                    [precision_pick % 4],
+            };
+            let width = precision.width();
+            let mode = match mode_pick {
+                0 => {
+                    let first_bit = mode_param % width;
+                    let last_bit = first_bit + (mode_param / 3) % (width - first_bit);
+                    CorruptionMode::BitRange(BitRange { first_bit, last_bit })
+                }
+                1 => {
+                    let pattern = ["1", "11", "101", "11101101", "1111111111111"]
+                        [mode_param as usize % 5];
+                    CorruptionMode::BitMask(BitMask::parse(pattern).unwrap())
+                }
+                _ => CorruptionMode::ScalingFactor([0.5, -3.0, 4500.0, 1e300][mode_param as usize % 4]),
+            };
+            let locations = if location_picks.is_empty() {
+                LocationSelection::AllRandom
+            } else {
+                LocationSelection::Listed(
+                    location_picks
+                        .iter()
+                        .map(|&i| ORACLE_LOCATIONS[i % ORACLE_LOCATIONS.len()].to_string())
+                        .collect(),
+                )
+            };
+            let cfg = CorrupterConfig {
+                injection_probability: [1.0, 0.5, 0.1, 0.0][probability_pick],
+                amount: if percentage {
+                    InjectionAmount::Percentage(amount_pick as f64 / 4.0)
+                } else {
+                    InjectionAmount::Count(amount_pick)
+                },
+                float_precision: precision,
+                mode,
+                allow_nan_values: allow_nan,
+                locations,
+                seed,
+            };
+            let Ok(corrupter) = Corrupter::new(cfg.clone()) else {
+                return Ok(()); // an invalid config never reaches a file
+            };
+            let pristine = oracle_file(dtype, seed, aux_f64);
+            let mut fast = pristine.clone();
+            let mut oracle = pristine.clone();
+            let got = corrupter.corrupt_with_log(&mut fast);
+            let want = path_oracle::corrupt_with_log(&cfg, &mut oracle);
+            match (&got, &want) {
+                (Ok((gr, gl)), Ok((wr, wl))) => {
+                    proptest::prop_assert_eq!(format!("{gr:?}"), format!("{wr:?}"));
+                    proptest::prop_assert_eq!(gl, wl);
+                }
+                (Err(g), Err(w)) => {
+                    proptest::prop_assert_eq!(g, w);
+                    if matches!(g, CorruptError::PrecisionMismatch { .. }) {
+                        proptest::prop_assert_eq!(fast.to_bytes(), pristine.to_bytes());
+                    }
+                }
+                _ => proptest::prop_assert!(false, "{got:?} vs {want:?}"),
+            }
+            proptest::prop_assert_eq!(fast.to_bytes(), oracle.to_bytes());
+        }
+    }
+
+    #[test]
+    fn the_oracle_properties_reach_every_outcome() {
+        // The property above is only as strong as the cases it sees: each
+        // error kind and a successful run must be reachable from its
+        // inputs. One hand-picked config per outcome.
+        let run = |cfg: CorrupterConfig, dtype| {
+            Corrupter::new(cfg)
+                .unwrap()
+                .corrupt(&mut oracle_file(dtype, 3, true))
+                .map(|r| r.injections)
+        };
+        let mut cfg = CorrupterConfig::bit_flips(50, Precision::Fp16, 1);
+        cfg.locations = LocationSelection::Listed(vec!["model".into(), "meta/epoch".into()]);
+        assert_eq!(run(cfg.clone(), Dtype::F16), Ok(50));
+        cfg.locations = LocationSelection::AllRandom;
+        assert!(matches!(
+            run(cfg.clone(), Dtype::F16),
+            Err(CorruptError::PrecisionMismatch { .. })
+        ));
+        cfg.locations = LocationSelection::Listed(vec!["model/ghost".into()]);
+        assert!(matches!(run(cfg.clone(), Dtype::F16), Err(CorruptError::LocationNotFound(_))));
+        cfg.locations = LocationSelection::Listed(vec!["model/empty".into()]);
+        assert_eq!(run(cfg.clone(), Dtype::F16), Err(CorruptError::NothingToCorrupt));
+        cfg.locations = LocationSelection::Listed(vec!["model/a".into()]);
+        cfg.mode = CorruptionMode::ScalingFactor(1e300);
+        cfg.float_precision = Precision::Fp32;
+        assert!(matches!(run(cfg, Dtype::F32), Err(CorruptError::NanRetryExhausted { .. })));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! framework". That is what makes the injection *equivalent* rather than
 //! *equal*.
 
+use crate::corrupter::{apply_step, Action};
 use crate::error::CorruptError;
 use crate::report::{InjectionRecord, InjectionReport, ValueChange};
-use sefi_float::FpValue;
 use sefi_hdf5::H5File;
 use sefi_rng::DetRng;
 use serde::{Deserialize, Serialize};
@@ -137,6 +137,12 @@ impl InjectionLog {
     /// factors, at the (possibly remapped) locations. Entry indices are
     /// redrawn deterministically from `seed`.
     ///
+    /// Each injection goes through the corrupter's own per-entry step, so
+    /// an integer target (an epoch counter hit by a full-range run) takes
+    /// the logged bit as a `bin()` flip of its magnitude; a logged bit at
+    /// or beyond the target's width is an error, as is a scale factor
+    /// aimed at an integer.
+    ///
     /// If a logged location names a group in the target file, a dataset
     /// beneath it is drawn at random — this is what lets a Chainer layer
     /// group map onto a TensorFlow layer group even though their inner
@@ -159,40 +165,37 @@ impl InjectionLog {
             let location = rng.choose(&candidates).clone();
             let ds = file.dataset_mut(&location)?;
             let entry_index = rng.index(ds.len());
-            let precision = ds.dtype().precision().ok_or_else(|| {
-                CorruptError::Log(format!("replay target {location:?} is not a float dataset"))
-            })?;
-            let old = FpValue::from_bits(precision, ds.get_bits(entry_index)?);
-            let new = match rec.change {
-                ValueChange::BitFlip { bit } => {
-                    if bit >= precision.width() {
-                        return Err(CorruptError::Log(format!(
-                            "logged bit {bit} exceeds {}-bit replay precision",
-                            precision.width()
-                        )));
-                    }
-                    FpValue::from_bits(precision, old.to_bits() ^ (1u64 << bit))
-                }
-                ValueChange::MaskApplied { offset, bits_flipped } => {
-                    // The aligned XOR pattern cannot be reconstructed from
-                    // ones-count alone; logs of mask runs store offset and
-                    // population for analysis, and replay refuses rather
-                    // than guessing a different mask.
-                    let _ = (offset, bits_flipped);
+            let action = match rec.change {
+                ValueChange::BitFlip { bit } => Action::Flip(bit),
+                // The aligned XOR pattern cannot be reconstructed from the
+                // ones-count alone; logs of mask runs store offset and
+                // population for analysis, and replay refuses rather than
+                // guessing a different mask.
+                ValueChange::MaskApplied { .. } => {
                     return Err(CorruptError::Log(
                         "bit-mask runs are replayed by re-running the corrupter with the same \
                          mask and seed, not via log replay"
                             .to_string(),
                     ));
                 }
-                ValueChange::Scaled { factor } => {
-                    FpValue::from_f64(precision, old.to_f64() * factor)
-                }
+                ValueChange::Scaled { factor } => Action::Scale(factor),
             };
-            let new_bits = new.to_bits();
-            let new_value = new.to_f64();
-            let old_value = old.to_f64();
-            ds.set_bits(entry_index, new_bits)?;
+            // The corrupter's own step: float targets at their precision,
+            // integer targets (epoch counters) with its bin() flip.
+            let (old_value, new_value) = apply_step(ds, entry_index, action, false)
+                .map_err(|e| match e {
+                    CorruptError::Log(m) => {
+                        CorruptError::Log(format!("replay target {location:?}: {m}"))
+                    }
+                    other => other,
+                })?
+                .ok_or_else(|| {
+                    CorruptError::Log(format!(
+                        "replaying {:?} on {location:?}[{entry_index}] overflows its integer \
+                         magnitude",
+                        rec.change
+                    ))
+                })?;
             report.records.push(InjectionRecord {
                 order: report.injections,
                 location,

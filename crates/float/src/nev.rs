@@ -78,16 +78,54 @@ impl NevPolicy {
         None
     }
 
-    /// True if any value in the slice is an N-EV.
-    pub fn any_nev(&self, values: &[f32]) -> bool {
-        values.iter().any(|&v| self.classify_f64(v as f64).is_some())
+    /// The smallest `f32` magnitude, as its bits with the sign cleared,
+    /// that [`NevPolicy::classify_f64`] flags. NaN and ±∞ sit above every
+    /// finite magnitude in this ordering, so "is an N-EV" becomes "the
+    /// magnitude bits are at least this bound" — one integer compare.
+    fn f32_nev_bound(&self) -> u32 {
+        const INF_BITS: u32 = 0x7f80_0000;
+        let t = self.extreme_threshold;
+        if t.is_nan() || t >= f32::MAX as f64 {
+            // No finite f32 compares above the threshold.
+            INF_BITS
+        } else if t < 0.0 {
+            // Every magnitude, zero included, exceeds it.
+            0
+        } else {
+            // `c` is the f32 nearest the threshold, so either it or its
+            // successor is the first magnitude strictly above it (`+ 0.0`
+            // folds a -0.0 threshold into +0.0).
+            let c = (t + 0.0) as f32;
+            if c as f64 > t {
+                c.to_bits()
+            } else {
+                c.to_bits() + 1
+            }
+        }
     }
 
-    /// Count N-EVs in the slice.
+    /// True if any value in the slice is an N-EV.
+    ///
+    /// The same predicate as [`NevPolicy::classify_f64`] on each value
+    /// widened to `f64`, scanned in fixed-size chunks without a branch per
+    /// element: each chunk reduces to its largest magnitude bits.
+    pub fn any_nev(&self, values: &[f32]) -> bool {
+        let bound = self.f32_nev_bound();
+        values.chunks(NEV_CHUNK).any(|chunk| {
+            chunk.iter().fold(0u32, |max, v| max.max(v.to_bits() & 0x7fff_ffff)) >= bound
+        })
+    }
+
+    /// Count N-EVs in the slice (the predicate of [`NevPolicy::any_nev`]).
     pub fn count_nev(&self, values: &[f32]) -> usize {
-        values.iter().filter(|&&v| self.classify_f64(v as f64).is_some()).count()
+        let bound = self.f32_nev_bound();
+        values.iter().map(|v| ((v.to_bits() & 0x7fff_ffff) >= bound) as usize).sum()
     }
 }
+
+/// Values per chunk of the N-EV scan: long enough for the reduction to
+/// vectorize, short enough that a hit stops the scan early.
+const NEV_CHUNK: usize = 256;
 
 /// Classify with the default policy.
 pub fn classify(v: f64) -> Option<Nev> {
@@ -135,6 +173,84 @@ mod tests {
         assert!(!p.any_nev(&[1.0, -2.0, 3.0]));
         assert!(p.any_nev(&[1.0, f32::NAN]));
         assert_eq!(p.count_nev(&[f32::INFINITY, 1.0, f32::NAN]), 2);
+    }
+
+    /// Thresholds at the edges of the bound derivation: zero, a subnormal
+    /// below f32's range, an ordinary one, the largest finite, +∞, NaN,
+    /// and negatives.
+    const THRESHOLDS: [f64; 10] = [
+        0.0,
+        -0.0,
+        5e-324,
+        1e-45,
+        1e30,
+        3.4028234663852886e38,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        -1.0,
+    ];
+
+    #[test]
+    fn slice_scans_match_classify_at_edge_thresholds() {
+        // Every f32 class boundary, plus the neighbours of each threshold.
+        let mut values: Vec<f32> = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc0_0000),
+        ];
+        for t in THRESHOLDS {
+            let c = t as f32;
+            values.extend([
+                c,
+                -c,
+                f32::from_bits(c.to_bits().wrapping_add(1)),
+                f32::from_bits(c.to_bits().wrapping_sub(1)),
+            ]);
+        }
+        for t in THRESHOLDS {
+            let p = NevPolicy::with_threshold(t);
+            for &v in &values {
+                let want = p.classify_f64(v as f64).is_some();
+                assert_eq!(
+                    p.any_nev(&[v]),
+                    want,
+                    "threshold {t:e}, value {v:e} ({:#x})",
+                    v.to_bits()
+                );
+                assert_eq!(p.count_nev(&[v]), want as usize);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn slice_scans_match_classify_on_random_bits(
+            bits in proptest::prelude::prop::collection::vec(proptest::prelude::any::<u32>(), 0..700),
+            pick in 0usize..10,
+            hit in proptest::prelude::any::<usize>(),
+        ) {
+            let p = NevPolicy::with_threshold(THRESHOLDS[pick]);
+            let mut values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            // Random patterns are mostly N-EVs, which would end every scan in
+            // its first chunk: from a random point on, clear the sign and
+            // the exponent's top bit (magnitudes below 2) so later chunks
+            // are benign and get scanned too.
+            for v in values.iter_mut().skip(hit % 700) {
+                *v = f32::from_bits(v.to_bits() & 0x3fff_ffff);
+            }
+            let want: Vec<bool> = values.iter().map(|&v| p.classify_f64(v as f64).is_some()).collect();
+            proptest::prop_assert_eq!(p.any_nev(&values), want.iter().any(|&w| w));
+            proptest::prop_assert_eq!(p.count_nev(&values), want.iter().filter(|&&w| w).count());
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Checkpoint save/load per framework personality.
 
 use crate::kind::FrameworkKind;
-use crate::mapping::{engine_to_file_path, tensor_from_file_layout, tensor_to_file_layout};
-use sefi_hdf5::{Attr, Dataset, Dtype, EccSidecar, H5File, LoadPolicy};
+use crate::mapping::{
+    engine_to_file_path, needs_reorder, push_file_path, reorder_from_file, tensor_to_file_layout,
+};
+use sefi_hdf5::{Attr, Dataset, DatasetLookup, Dtype, EccSidecar, H5File, LoadPolicy};
 use sefi_nn::Network;
 use std::borrow::Borrow;
 
@@ -126,7 +128,8 @@ fn load_into(
         }
         Err(e) => return Err(format!("reading epoch: {e}")),
     };
-    restore_in_place(fw, net, |engine_path, file_path| match file.dataset(file_path) {
+    let mut lookup = DatasetLookup::new(file);
+    restore_in_place(fw, net, |engine_path, file_path| match lookup.dataset(file_path) {
         Ok(ds) => Ok(Some(ds)),
         // A quarantined dataset is deliberately absent: keep the
         // network's current tensor instead of failing the load.
@@ -141,7 +144,68 @@ fn load_into(
 /// checkpoint paths, and returns the dataset to load, `None` to keep the
 /// tensor as it is, or an error. Every tensor is resolved and its length
 /// checked before the first write, so on `Err` the network is untouched.
+///
+/// Datasets decode straight into the network's own tensor buffers; the
+/// checkpoint path is built in one reused string and TensorFlow's kernel
+/// reorders go through one reused scratch buffer, so a restore allocates
+/// the same few buffers however many tensors the network has.
 pub(crate) fn restore_in_place<D: Borrow<Dataset>>(
+    fw: FrameworkKind,
+    net: &mut Network,
+    mut resolve: impl FnMut(&str, &str) -> Result<Option<D>, String>,
+) -> Result<(), String> {
+    let mut sources = Vec::with_capacity(net.num_tensors());
+    let mut file_path = String::new();
+    let mut failure = None;
+    net.visit_tensors_mut(|engine_path, t, _| {
+        if failure.is_some() {
+            return;
+        }
+        file_path.clear();
+        push_file_path(fw, engine_path, &mut file_path);
+        match resolve(engine_path, &file_path) {
+            Ok(Some(ds)) if ds.borrow().len() != t.len() => {
+                failure = Some(format!(
+                    "tensor {file_path:?} has {} entries, network expects {}",
+                    ds.borrow().len(),
+                    t.len()
+                ));
+            }
+            Ok(source) => sources.push(source),
+            Err(e) => failure = Some(e),
+        }
+    });
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let mut scratch = Vec::new();
+    let mut sources = sources.into_iter();
+    net.visit_tensors_mut(|engine_path, t, _| {
+        let Some(ds) = sources.next().expect("one source per tensor") else { return };
+        let ds = ds.borrow();
+        if needs_reorder(fw, engine_path, t.shape()) {
+            scratch.resize(ds.len(), 0.0);
+            ds.read_f32_into(&mut scratch).expect("length checked before the first write");
+            // Kernels are rank 2 or 4: copy the shape out of the tensor
+            // being written without allocating.
+            let mut dims = [0; 4];
+            let dims = &mut dims[..t.shape().len()];
+            dims.copy_from_slice(t.shape());
+            reorder_from_file(dims, &scratch, t.data_mut());
+        } else {
+            ds.read_f32_into(t.data_mut()).expect("length checked before the first write");
+        }
+    });
+    Ok(())
+}
+
+/// The restore [`restore_in_place`] replaced, kept as its test oracle and
+/// built from nothing the new one uses: per tensor it formats the
+/// checkpoint path, decodes entry by entry through `get_f64`, and undoes
+/// the file layout by inverting the permutation [`tensor_to_file_layout`]
+/// applies to an index tensor, then swaps in a newly built tensor.
+#[cfg(test)]
+pub(crate) fn restore_by_copy<D: Borrow<Dataset>>(
     fw: FrameworkKind,
     net: &mut Network,
     mut resolve: impl FnMut(&str, &str) -> Result<Option<D>, String>,
@@ -171,7 +235,15 @@ pub(crate) fn restore_in_place<D: Borrow<Dataset>>(
     let mut sources = sources.into_iter();
     net.visit_tensors_mut(|engine_path, t, _| {
         if let Some(ds) = sources.next().expect("one source per tensor") {
-            *t = tensor_from_file_layout(fw, engine_path, t.shape(), ds.borrow().to_f32_vec());
+            let ds = ds.borrow();
+            let index =
+                sefi_tensor::Tensor::from_vec((0..t.len()).map(|i| i as f32).collect(), t.shape());
+            let (_, stored_from) = tensor_to_file_layout(fw, engine_path, &index);
+            let mut data = vec![0.0; t.len()];
+            for (stored, from) in stored_from.into_iter().enumerate() {
+                data[from as usize] = ds.get_f64(stored).expect("length checked") as f32;
+            }
+            *t = sefi_tensor::Tensor::from_vec(data, t.shape());
         }
     });
     Ok(())
@@ -187,6 +259,97 @@ mod tests {
     fn small_net() -> Network {
         let cfg = ModelConfig { scale: 0.05, input_size: 16, num_classes: 10 };
         alexnet(cfg, &mut DetRng::new(5)).0
+    }
+
+    /// Every tensor's bits, in state-dict order: equality that sees NaN
+    /// payloads.
+    fn tensor_bits(net: &mut Network) -> Vec<(String, Vec<u32>)> {
+        let mut out = Vec::new();
+        net.visit_tensors_mut(|path, t, _| {
+            out.push((path.to_string(), t.data().iter().map(|v| v.to_bits()).collect()))
+        });
+        out
+    }
+
+    /// Overwrite random entries of every real dataset with random bit
+    /// patterns, signalling NaNs of each width among them.
+    fn scribble(file: &mut H5File, rng: &mut DetRng) {
+        let paths = file.dataset_paths();
+        for _ in 0..60 {
+            let ds = file.dataset_mut(&paths[rng.index(paths.len())]).unwrap();
+            if !ds.dtype().is_real() {
+                continue;
+            }
+            let i = rng.index(ds.len());
+            let bits = match (rng.below(3), ds.dtype()) {
+                (0, Dtype::F16) => 0x7c01,
+                (0, Dtype::BF16) => 0x7f81,
+                (0, Dtype::F32) => 0x7f80_0001,
+                (0, Dtype::F64) => 0x7ff0_0000_0000_0001,
+                _ => rng.next_u64(),
+            };
+            ds.set_bits(i, bits & (u64::MAX >> (64 - 8 * ds.dtype().size()))).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+        #[test]
+        fn in_place_restore_matches_the_copying_restore(seed in proptest::prelude::any::<u64>()) {
+            let cfg = ModelConfig { scale: 0.03, input_size: 16, num_classes: 10 };
+            let dtypes = [Dtype::F16, Dtype::BF16, Dtype::F32, Dtype::F64, Dtype::I8Q];
+            let mut rng = DetRng::new(seed);
+            for model in sefi_models::ModelKind::all() {
+                let (mut source, _) = sefi_models::build(model, cfg, &mut DetRng::new(5));
+                let (target, _) = sefi_models::build(model, cfg, &mut DetRng::new(99));
+                for fw in FrameworkKind::all() {
+                    for dtype in dtypes {
+                        let mut file = save_checkpoint(fw, &mut source, 4, dtype);
+                        scribble(&mut file, &mut rng);
+                        let resolve = |_: &str, p: &str| file.dataset(p).map(Some).map_err(|e| e.to_string());
+                        let (mut fast, mut slow) = (target.clone(), target.clone());
+                        restore_in_place(fw, &mut fast, resolve).unwrap();
+                        restore_by_copy(fw, &mut slow, resolve).unwrap();
+                        proptest::prop_assert_eq!(
+                            tensor_bits(&mut fast),
+                            tensor_bits(&mut slow),
+                            "{:?} {:?} {:?}", fw, model, dtype
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_in_place_restore_leaves_every_tensor_as_it_was() {
+        let cfg = ModelConfig { scale: 0.03, input_size: 16, num_classes: 10 };
+        for model in sefi_models::ModelKind::all() {
+            let (mut source, _) = sefi_models::build(model, cfg, &mut DetRng::new(5));
+            for fw in FrameworkKind::all() {
+                let file = save_checkpoint(fw, &mut source, 4, Dtype::F64);
+                let (mut target, _) = sefi_models::build(model, cfg, &mut DetRng::new(99));
+                let before = tensor_bits(&mut target);
+                let last = engine_to_file_path(fw, &before.last().unwrap().0);
+                // The last tensor in walk order fails, after every other one
+                // resolved: missing, then the wrong length.
+                let missing = restore_in_place(fw, &mut target, |_, p| {
+                    if p == last {
+                        Err(format!("no {p}"))
+                    } else {
+                        Ok(file.dataset(p).ok())
+                    }
+                });
+                assert!(missing.unwrap_err().contains(&last));
+                assert_eq!(tensor_bits(&mut target), before, "{fw:?} {model:?}");
+                let short = Dataset::zeros(&[1], Dtype::F64);
+                let wrong = restore_in_place(fw, &mut target, |_, p| {
+                    Ok(Some(if p == last { &short } else { file.dataset(p).unwrap() }))
+                });
+                assert!(wrong.unwrap_err().contains("entries"));
+                assert_eq!(tensor_bits(&mut target), before, "{fw:?} {model:?}");
+            }
+        }
     }
 
     #[test]

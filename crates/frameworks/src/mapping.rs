@@ -12,23 +12,27 @@ use sefi_tensor::Tensor;
 
 /// Map an engine parameter path to this framework's checkpoint path.
 pub fn engine_to_file_path(fw: FrameworkKind, engine_path: &str) -> String {
-    let (dirs, leaf) = split_leaf(engine_path);
-    match fw {
+    let mut out = String::new();
+    push_file_path(fw, engine_path, &mut out);
+    out
+}
+
+/// Append the checkpoint path of `engine_path` to `out` — what
+/// [`engine_to_file_path`] returns, built in the caller's buffer so a walk
+/// over every tensor reuses one allocation.
+pub(crate) fn push_file_path(fw: FrameworkKind, engine_path: &str, out: &mut String) {
+    let (dirs, leaf) = match engine_path.rsplit_once('/') {
+        Some((dirs, leaf)) => (Some(dirs), leaf),
+        None => (None, engine_path),
+    };
+    let (root, sep, leaf) = match fw {
         FrameworkKind::Chainer => {
             let leaf = match leaf {
-                "W" => "W",
-                "b" => "b",
-                "gamma" => "gamma",
-                "beta" => "beta",
                 "running_mean" => "avg_mean",
                 "running_var" => "avg_var",
                 other => other,
             };
-            if dirs.is_empty() {
-                format!("predictor/{leaf}")
-            } else {
-                format!("predictor/{}/{leaf}", dirs.join("/"))
-            }
+            ("predictor/", '/', leaf)
         }
         FrameworkKind::PyTorch => {
             let leaf = match leaf {
@@ -36,30 +40,26 @@ pub fn engine_to_file_path(fw: FrameworkKind, engine_path: &str) -> String {
                 "b" | "beta" => "bias",
                 other => other, // running_mean / running_var keep their names
             };
-            let module = dirs.join(".");
-            if module.is_empty() {
-                format!("state_dict/{leaf}")
-            } else {
-                format!("state_dict/{module}.{leaf}")
-            }
+            ("state_dict/", '.', leaf)
         }
         FrameworkKind::TensorFlow => {
             let leaf = match leaf {
                 "W" => "kernel",
                 "b" => "bias",
-                "gamma" => "gamma",
-                "beta" => "beta",
                 "running_mean" => "moving_mean",
                 "running_var" => "moving_variance",
                 other => other,
             };
-            if dirs.is_empty() {
-                format!("model_weights/{leaf}")
-            } else {
-                format!("model_weights/{}/{leaf}", dirs.join("/"))
-            }
+            ("model_weights/", '/', leaf)
         }
+    };
+    out.push_str(root);
+    if let Some(dirs) = dirs {
+        // PyTorch flattens the module path into one dotted key.
+        out.extend(dirs.chars().map(|c| if c == '/' { sep } else { c }));
+        out.push(sep);
     }
+    out.push_str(leaf);
 }
 
 /// The checkpoint locations covering one engine layer — what
@@ -138,13 +138,26 @@ pub fn tensor_from_file_layout(
     engine_shape: &[usize],
     stored: Vec<f32>,
 ) -> Tensor {
-    if fw != FrameworkKind::TensorFlow || !is_kernel(engine_path) {
+    if !needs_reorder(fw, engine_path, engine_shape) {
         return Tensor::from_vec(stored, engine_shape);
     }
-    match engine_shape {
+    let mut t = Tensor::zeros(engine_shape);
+    reorder_from_file(engine_shape, &stored, t.data_mut());
+    t
+}
+
+/// True when this framework stores the tensor at `engine_path` in a
+/// different memory order than the engine: TensorFlow's convolution
+/// (HWIO) and dense (transposed) kernels.
+pub(crate) fn needs_reorder(fw: FrameworkKind, engine_path: &str, engine_shape: &[usize]) -> bool {
+    fw == FrameworkKind::TensorFlow && is_kernel(engine_path) && matches!(engine_shape.len(), 2 | 4)
+}
+
+/// Write TensorFlow-ordered `stored` into `out` in engine order, for a
+/// kernel of `engine_shape` (OIHW convolution or `[out, in]` dense).
+pub(crate) fn reorder_from_file(engine_shape: &[usize], stored: &[f32], out: &mut [f32]) {
+    match *engine_shape {
         [o, i, kh, kw] => {
-            let (o, i, kh, kw) = (*o, *i, *kh, *kw);
-            let mut out = vec![0.0f32; stored.len()];
             for oo in 0..o {
                 for ii in 0..i {
                     for h in 0..kh {
@@ -155,30 +168,20 @@ pub fn tensor_from_file_layout(
                     }
                 }
             }
-            Tensor::from_vec(out, engine_shape)
         }
         [o, i] => {
-            let (o, i) = (*o, *i);
-            let mut out = vec![0.0f32; stored.len()];
             for oo in 0..o {
                 for ii in 0..i {
                     out[oo * i + ii] = stored[ii * o + oo];
                 }
             }
-            Tensor::from_vec(out, engine_shape)
         }
-        _ => Tensor::from_vec(stored.to_vec(), engine_shape),
+        _ => unreachable!("needs_reorder admits rank-2 and rank-4 kernels only"),
     }
 }
 
 fn is_kernel(engine_path: &str) -> bool {
     engine_path.ends_with("/W")
-}
-
-fn split_leaf(path: &str) -> (Vec<&str>, &str) {
-    let mut parts: Vec<&str> = path.split('/').collect();
-    let leaf = parts.pop().expect("non-empty path");
-    (parts, leaf)
 }
 
 #[cfg(test)]
@@ -222,6 +225,35 @@ mod tests {
             engine_to_file_path(FrameworkKind::PyTorch, "res2a/bn1/running_var"),
             "state_dict/res2a.bn1.running_var"
         );
+    }
+
+    #[test]
+    fn top_level_and_nested_paths_map_in_every_framework() {
+        let cases = [
+            ("W", ["predictor/W", "state_dict/weight", "model_weights/kernel"]),
+            (
+                "bn/running_mean",
+                [
+                    "predictor/bn/avg_mean",
+                    "state_dict/bn.running_mean",
+                    "model_weights/bn/moving_mean",
+                ],
+            ),
+            (
+                "a/b/c/beta",
+                ["predictor/a/b/c/beta", "state_dict/a.b.c.bias", "model_weights/a/b/c/beta"],
+            ),
+            ("x/odd", ["predictor/x/odd", "state_dict/x.odd", "model_weights/x/odd"]),
+        ];
+        for (engine, want) in cases {
+            for (fw, want) in FrameworkKind::all().into_iter().zip(want) {
+                assert_eq!(engine_to_file_path(fw, engine), want, "{fw:?} {engine}");
+                // Appending keeps what the buffer already held.
+                let mut buf = "prefix:".to_string();
+                push_file_path(fw, engine, &mut buf);
+                assert_eq!(buf, format!("prefix:{want}"));
+            }
+        }
     }
 
     #[test]

@@ -128,6 +128,9 @@ impl Dtype {
 pub struct Dataset {
     dtype: Dtype,
     shape: Vec<usize>,
+    /// Entries: the shape's product, kept so element access reads no
+    /// shape (an injection touches one entry of a random dataset).
+    len: usize,
     /// Little-endian packed elements, `len() * dtype.size()` bytes.
     data: Arc<Vec<u8>>,
     /// Per-tensor dequantization scale. Meaningful only for [`Dtype::I8Q`]
@@ -155,10 +158,12 @@ pub(crate) fn checked_elem_count(shape: &[usize]) -> Option<usize> {
 impl Dataset {
     /// A dataset of zeros.
     pub fn zeros(shape: &[usize], dtype: Dtype) -> Self {
+        let len = shape_len(shape);
         Dataset {
             dtype,
             shape: shape.to_vec(),
-            data: Arc::new(vec![0u8; shape_len(shape) * dtype.size()]),
+            len,
+            data: Arc::new(vec![0u8; len * dtype.size()]),
             scale: 1.0,
         }
     }
@@ -235,17 +240,18 @@ impl Dataset {
 
     /// Reconstruct from raw parts (used by the decoder).
     pub(crate) fn from_raw(dtype: Dtype, shape: Vec<usize>, data: Vec<u8>) -> Result<Self> {
-        let expected =
-            checked_elem_count(&shape).and_then(|n| n.checked_mul(dtype.size())).ok_or_else(
-                || Error::Malformed(format!("dataset shape {shape:?} overflows the element count")),
-            )?;
+        let (len, expected) = checked_elem_count(&shape)
+            .and_then(|n| Some((n, n.checked_mul(dtype.size())?)))
+            .ok_or_else(|| {
+                Error::Malformed(format!("dataset shape {shape:?} overflows the element count"))
+            })?;
         if data.len() != expected {
             return Err(Error::Malformed(format!(
                 "dataset byte length {} does not match shape (expected {expected})",
                 data.len()
             )));
         }
-        Ok(Dataset { dtype, shape, data: Arc::new(data), scale: 1.0 })
+        Ok(Dataset { dtype, shape, len, data: Arc::new(data), scale: 1.0 })
     }
 
     /// Element type.
@@ -272,7 +278,7 @@ impl Dataset {
 
     /// Number of entries (dimension product; 1 for scalars).
     pub fn len(&self) -> usize {
-        shape_len(&self.shape)
+        self.len
     }
 
     /// True when the dataset holds no entries (some dimension is zero).
@@ -413,15 +419,25 @@ impl Dataset {
 
     /// All entries widened to `f32` (the frameworks' working precision).
     ///
+    /// A fresh buffer filled by [`Dataset::read_f32_into`].
+    pub fn to_f32_vec(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.len()];
+        self.read_f32_into(&mut out).expect("buffer sized to the dataset");
+        out
+    }
+
+    /// Decode every entry, widened to `f32`, into `out`, which must hold
+    /// exactly [`Dataset::len`] values.
+    ///
     /// Decodes in bulk — one dtype dispatch per dataset, then one pass over
     /// fixed-width chunks — with [`Dataset::get_f64`]'s per-element
-    /// conversion, so every result is bit-identical to `get_f64(i) as f32`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        fn widen<const W: usize>(bytes: &[u8], decode: impl Fn([u8; W]) -> f64) -> Vec<f32> {
-            bytes
-                .chunks_exact(W)
-                .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes")) as f32)
-                .collect()
+    /// conversion, so every result is bit-identical to `get_f64(i) as f32`
+    /// (signalling NaNs come out quiet; I8Q dequantizes through its scale).
+    pub fn read_f32_into(&self, out: &mut [f32]) -> Result<()> {
+        fn widen<const W: usize>(bytes: &[u8], out: &mut [f32], decode: impl Fn([u8; W]) -> f64) {
+            for (o, c) in out.iter_mut().zip(bytes.chunks_exact(W)) {
+                *o = decode(c.try_into().expect("chunks_exact yields W bytes")) as f32;
+            }
         }
         // `x as f64` for an `f32` x, as the hardware widens it: exact, but a
         // signalling NaN comes out quiet (payload kept). Spelled out because
@@ -434,20 +450,26 @@ impl Dataset {
                 x as f64
             }
         }
+        if out.len() != self.len() {
+            return Err(Error::ShapeMismatch { expected: self.len(), got: out.len() });
+        }
         let bytes = self.bytes();
         let scale = self.scale as f64;
         match self.dtype {
-            Dtype::F16 => widen(bytes, |b| via_f64(f16::from_bits(u16::from_le_bytes(b)).to_f32())),
-            Dtype::BF16 => {
-                widen(bytes, |b| via_f64(bf16::from_bits(u16::from_le_bytes(b)).to_f32()))
+            Dtype::F16 => {
+                widen(bytes, out, |b| via_f64(f16::from_bits(u16::from_le_bytes(b)).to_f32()))
             }
-            Dtype::F32 => widen(bytes, |b| via_f64(f32::from_le_bytes(b))),
-            Dtype::F64 => widen(bytes, f64::from_le_bytes),
-            Dtype::I32 => widen(bytes, |b| i32::from_le_bytes(b) as f64),
-            Dtype::I64 => widen(bytes, |b| i64::from_le_bytes(b) as f64),
-            Dtype::U8 => widen(bytes, |b: [u8; 1]| b[0] as f64),
-            Dtype::I8Q => widen(bytes, |b: [u8; 1]| b[0] as i8 as f64 * scale),
+            Dtype::BF16 => {
+                widen(bytes, out, |b| via_f64(bf16::from_bits(u16::from_le_bytes(b)).to_f32()))
+            }
+            Dtype::F32 => widen(bytes, out, |b| via_f64(f32::from_le_bytes(b))),
+            Dtype::F64 => widen(bytes, out, f64::from_le_bytes),
+            Dtype::I32 => widen(bytes, out, |b| i32::from_le_bytes(b) as f64),
+            Dtype::I64 => widen(bytes, out, |b| i64::from_le_bytes(b) as f64),
+            Dtype::U8 => widen(bytes, out, |b: [u8; 1]| b[0] as f64),
+            Dtype::I8Q => widen(bytes, out, |b: [u8; 1]| b[0] as i8 as f64 * scale),
         }
+        Ok(())
     }
 
     /// All entries widened to `f64`.

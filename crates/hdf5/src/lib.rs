@@ -97,7 +97,7 @@ impl H5File {
         if path.is_empty() {
             return None;
         }
-        self.root.get_path(&split_path(path))
+        self.root.get_path(path.split('/'))
     }
 
     /// Mutable lookup.
@@ -105,7 +105,7 @@ impl H5File {
         if path.is_empty() {
             return None;
         }
-        self.root.get_path_mut(&split_path(path))
+        self.root.get_path_mut(path.split('/'))
     }
 
     /// Look up a dataset by path.
@@ -124,6 +124,14 @@ impl H5File {
             Some(Node::Group(_)) => Err(Error::NotADataset(path.to_string())),
             None => Err(Error::NotFound(path.to_string())),
         }
+    }
+
+    /// Lend every dataset mutably to `f` with its absolute path, in
+    /// [`H5File::dataset_paths`] order — one walk of the tree. The path is
+    /// built in one reused buffer and valid only for the call; the dataset
+    /// borrows last as long as the file's, so `f` may keep them all.
+    pub fn datasets_mut<'a>(&'a mut self, mut f: impl FnMut(&str, &'a mut Dataset)) {
+        self.root.lend_datasets_mut(&mut String::new(), &mut f);
     }
 
     /// Absolute paths of every dataset, in deterministic (sorted) order.
@@ -265,6 +273,60 @@ impl H5File {
     }
 }
 
+/// Resolves many dataset paths in one file, keeping the groups the previous
+/// path went through: a path that shares leading groups with the one before
+/// it searches only its new segments. A walk that visits sibling datasets
+/// together — a checkpoint restore — pays about one child search per
+/// dataset instead of one per segment. Results and errors are
+/// [`H5File::dataset`]'s.
+pub struct DatasetLookup<'f> {
+    root: &'f Group,
+    /// The previous path.
+    path: String,
+    /// The groups the previous path descended through, each with the
+    /// length of the path prefix naming it, trailing `/` included.
+    groups: Vec<(usize, &'f Group)>,
+}
+
+impl<'f> DatasetLookup<'f> {
+    /// A lookup over `file` with nothing cached.
+    pub fn new(file: &'f H5File) -> Self {
+        DatasetLookup { root: &file.root, path: String::new(), groups: Vec::new() }
+    }
+
+    /// The dataset at `path`, as [`H5File::dataset`] finds it.
+    pub fn dataset(&mut self, path: &str) -> Result<&'f Dataset> {
+        let not_found = || Err(Error::NotFound(path.to_string()));
+        if path.is_empty() {
+            return not_found();
+        }
+        while let Some(&(start, _)) = self.groups.last() {
+            if path.as_bytes().get(..start) == Some(&self.path.as_bytes()[..start]) {
+                break;
+            }
+            self.groups.pop();
+        }
+        self.path.clear();
+        self.path.push_str(path);
+        let (mut start, mut group) = self.groups.last().copied().unwrap_or((0, self.root));
+        let mut segments = path[start..].split('/');
+        let mut segment = segments.next().expect("split yields a first segment");
+        loop {
+            let Some(node) = group.child(segment) else { return not_found() };
+            start += segment.len() + 1;
+            match (node, segments.next()) {
+                (Node::Dataset(ds), None) => return Ok(ds),
+                (Node::Group(_), None) => return Err(Error::NotADataset(path.to_string())),
+                (Node::Group(g), Some(next)) => {
+                    self.groups.push((start, g));
+                    (group, segment) = (g, next);
+                }
+                (Node::Dataset(_), Some(_)) => return not_found(),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +382,58 @@ mod tests {
                 "model_weights/block1_conv1/kernel".to_string(),
             ]
         );
+    }
+
+    #[test]
+    fn datasets_mut_lends_every_dataset_in_path_order() {
+        let mut f = sample_file();
+        let expected = f.dataset_paths();
+        let mut seen = Vec::new();
+        let mut all = Vec::new();
+        f.datasets_mut(|path, ds| {
+            seen.push(path.to_string());
+            all.push(ds);
+        });
+        assert_eq!(seen, expected);
+        // The borrows outlive the walk: write through one of them.
+        all[0].set_i64(0, 21).unwrap();
+        assert_eq!(f.dataset("meta/epoch").unwrap().get_i64(0).unwrap(), 21);
+        assert!(f.get("meta/epoch/deeper").is_none());
+        assert!(f.get("meta//epoch").is_none());
+    }
+
+    #[test]
+    fn dataset_lookup_agrees_with_dataset_in_any_order() {
+        let mut f = sample_file();
+        f.create_dataset("model_weights/block2/kernel", Dataset::zeros(&[1], Dtype::F32)).unwrap();
+        let probes = [
+            "model_weights/block1_conv1/kernel",
+            "model_weights/block1_conv1/bias",
+            "model_weights/block2/kernel",
+            "model_weights/block1_conv1",
+            "model_weights/block1_conv1/kernel/x",
+            "model_weights/block1_conv1/kernel",
+            "model_weights/block1_conv1x/bias",
+            "meta/epoch",
+            "model_weights//block2/kernel",
+            "model_weights/block2/kernel",
+            "",
+            "meta",
+            "nope/epoch",
+            "meta/epoch",
+        ];
+        let mut lookup = DatasetLookup::new(&f);
+        for round in 0..2 {
+            for p in probes.iter().skip(round) {
+                let want = f.dataset(p);
+                let got = lookup.dataset(p);
+                assert_eq!(
+                    got.map(|d| d as *const Dataset),
+                    want.map(|d| d as *const Dataset),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

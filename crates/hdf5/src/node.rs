@@ -109,29 +109,52 @@ impl Group {
         Ok(())
     }
 
-    pub(crate) fn get_path(&self, parts: &[&str]) -> Option<&Node> {
-        let (first, rest) = parts.split_first()?;
-        let node = self.children.get(*first)?;
-        if rest.is_empty() {
-            Some(node)
-        } else {
-            match node {
-                Node::Group(g) => g.get_path(rest),
-                Node::Dataset(_) => None,
-            }
+    /// Descend along path segments without collecting them: `None` when a
+    /// segment is missing or a dataset blocks the way.
+    pub(crate) fn get_path<'p>(&self, mut parts: impl Iterator<Item = &'p str>) -> Option<&Node> {
+        let mut node = self.children.get(parts.next()?)?;
+        for part in parts {
+            node = match node {
+                Node::Group(g) => g.children.get(part)?,
+                Node::Dataset(_) => return None,
+            };
         }
+        Some(node)
     }
 
-    pub(crate) fn get_path_mut(&mut self, parts: &[&str]) -> Option<&mut Node> {
-        let (first, rest) = parts.split_first()?;
-        let node = self.children.get_mut(*first)?;
-        if rest.is_empty() {
-            Some(node)
-        } else {
-            match node {
-                Node::Group(g) => g.get_path_mut(rest),
-                Node::Dataset(_) => None,
+    pub(crate) fn get_path_mut<'p>(
+        &mut self,
+        mut parts: impl Iterator<Item = &'p str>,
+    ) -> Option<&mut Node> {
+        let mut node = self.children.get_mut(parts.next()?)?;
+        for part in parts {
+            node = match node {
+                Node::Group(g) => g.children.get_mut(part)?,
+                Node::Dataset(_) => return None,
+            };
+        }
+        Some(node)
+    }
+
+    /// Lend every dataset below this group to `f` in path order, with its
+    /// absolute path built in `path` (which holds this group's own path and
+    /// is restored before returning).
+    pub(crate) fn lend_datasets_mut<'a, F: FnMut(&str, &'a mut Dataset)>(
+        &'a mut self,
+        path: &mut String,
+        f: &mut F,
+    ) {
+        for (name, node) in &mut self.children {
+            let len = path.len();
+            if len > 0 {
+                path.push('/');
             }
+            path.push_str(name);
+            match node {
+                Node::Dataset(ds) => f(path, ds),
+                Node::Group(g) => g.lend_datasets_mut(path, f),
+            }
+            path.truncate(len);
         }
     }
 
@@ -185,7 +208,7 @@ mod tests {
     fn traversal_through_dataset_fails_cleanly() {
         let mut g = Group::new();
         g.insert_dataset("w", Dataset::zeros(&[2], Dtype::F32)).unwrap();
-        assert!(g.get_path(&["w", "deeper"]).is_none());
+        assert!(g.get_path(["w", "deeper"].into_iter()).is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sefi_hdf5::hamming::{decode, encode, DecodeResult};
-use sefi_hdf5::{Attr, Dataset, Dtype, H5File};
+use sefi_hdf5::{Attr, Dataset, DatasetLookup, Dtype, H5File};
 
 fn any_dtype() -> impl Strategy<Value = Dtype> {
     prop_oneof![
@@ -133,6 +133,29 @@ proptest! {
         }
     }
 
+    /// The group-caching lookup finds exactly what a fresh lookup finds,
+    /// whatever order paths come in: real datasets, their groups, prefixes
+    /// and extensions of them, and paths that go nowhere.
+    #[test]
+    fn dataset_lookup_matches_fresh_lookups(
+        f in any_file(),
+        picks in prop::collection::vec((any::<usize>(), 0u8..4, path_segment()), 0..24),
+    ) {
+        let paths = f.object_paths();
+        let mut lookup = DatasetLookup::new(&f);
+        for (i, how, seg) in picks {
+            let base = if paths.is_empty() { seg.clone() } else { paths[i % paths.len()].clone() };
+            let probe = match how {
+                0 => base,
+                1 => format!("{base}/{seg}"),
+                2 => base.rsplit_once('/').map_or(seg.clone(), |(dir, _)| format!("{dir}/{seg}")),
+                _ => base.split('/').next().unwrap_or("").to_string(),
+            };
+            let want = f.dataset(&probe).map(|d| d as *const Dataset);
+            prop_assert_eq!(lookup.dataset(&probe).map(|d| d as *const Dataset), want, "{}", probe);
+        }
+    }
+
     #[test]
     fn bulk_f32_decode_matches_per_element_decode(
         dtype in prop_oneof![
@@ -152,7 +175,14 @@ proptest! {
         let bulk: Vec<u32> = ds.to_f32_vec().iter().map(|v| v.to_bits()).collect();
         let each: Vec<u32> =
             (0..ds.len()).map(|i| (ds.get_f64(i).unwrap() as f32).to_bits()).collect();
-        prop_assert_eq!(bulk, each);
+        prop_assert_eq!(&bulk, &each);
+        // Decoding into a reused buffer overwrites whatever it held.
+        let mut reused = vec![f32::from_bits(0x7fa0_0001); ds.len()];
+        ds.read_f32_into(&mut reused).unwrap();
+        let into: Vec<u32> = reused.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(into, each);
+        let mut short = vec![0.0f32; ds.len() + 1];
+        prop_assert!(ds.read_f32_into(&mut short).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! test oracle) at a fraction of its time. Normalization and the input
 //! gradient are computed in place, in the buffers the layer is handed.
 
-use super::{Layer, ParamRefMut, StateRefMut};
+use super::Layer;
 use sefi_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
@@ -232,18 +232,14 @@ impl Layer for BatchNorm2d {
         dout
     }
 
-    fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        vec![
-            ParamRefMut { name: "gamma".into(), value: &mut self.gamma, grad: &mut self.dgamma },
-            ParamRefMut { name: "beta".into(), value: &mut self.beta, grad: &mut self.dbeta },
-        ]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor, &'a mut Tensor)) {
+        f("gamma", &mut self.gamma, &mut self.dgamma);
+        f("beta", &mut self.beta, &mut self.dbeta);
     }
 
-    fn state_mut(&mut self) -> Vec<StateRefMut<'_>> {
-        vec![
-            StateRefMut { name: "running_mean".into(), value: &mut self.running_mean },
-            StateRefMut { name: "running_var".into(), value: &mut self.running_var },
-        ]
+    fn visit_state<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor)) {
+        f("running_mean", &mut self.running_mean);
+        f("running_var", &mut self.running_var);
     }
 
     fn workspace_bytes(&self) -> usize {
@@ -331,9 +327,8 @@ mod tests {
     #[test]
     fn state_and_params_are_separate() {
         let mut bn = BatchNorm2d::new("bn", 4);
-        let pnames: Vec<String> = bn.params_mut().into_iter().map(|p| p.name).collect();
+        let (pnames, snames) = crate::layers::tensor_names(&mut bn);
         assert_eq!(pnames, vec!["gamma", "beta"]);
-        let snames: Vec<String> = bn.state_mut().into_iter().map(|s| s.name).collect();
         assert_eq!(snames, vec!["running_mean", "running_var"]);
     }
 

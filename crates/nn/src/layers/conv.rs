@@ -1,6 +1,6 @@
 //! 2-D convolution layer.
 
-use super::{Layer, ParamRefMut};
+use super::Layer;
 use sefi_rng::DetRng;
 use sefi_tensor::{conv2d_backward_ws_ex, conv2d_ws, he_normal, ConvSpec, ConvWorkspace, Tensor};
 
@@ -98,11 +98,9 @@ impl Layer for Conv2d {
         self.ws.retained_bytes()
     }
 
-    fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        vec![
-            ParamRefMut { name: "W".into(), value: &mut self.weight, grad: &mut self.dweight },
-            ParamRefMut { name: "b".into(), value: &mut self.bias, grad: &mut self.dbias },
-        ]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor, &'a mut Tensor)) {
+        f("W", &mut self.weight, &mut self.dweight);
+        f("b", &mut self.bias, &mut self.dbias);
     }
 }
 
@@ -117,7 +115,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let y = c.forward(x, true);
         assert_eq!(y.shape(), &[2, 8, 16, 16]);
-        let names: Vec<String> = c.params_mut().into_iter().map(|p| p.name).collect();
+        let (names, _) = crate::layers::tensor_names(&mut c);
         assert_eq!(names, vec!["W", "b"]);
     }
 
@@ -129,15 +127,15 @@ mod tests {
         let y = c.forward(x.clone(), true);
         let d = Tensor::full(y.shape(), 1.0);
         let _ = c.backward(d);
-        let g1: f32 = c.params_mut()[0].grad.data().iter().sum();
+        let g1: f32 = c.dweight.data().iter().sum();
         // Second pass accumulates on top.
         let y = c.forward(x, true);
         let d = Tensor::full(y.shape(), 1.0);
         let _ = c.backward(d);
-        let g2: f32 = c.params_mut()[0].grad.data().iter().sum();
+        let g2: f32 = c.dweight.data().iter().sum();
         assert!((g2 - 2.0 * g1).abs() < 1e-3);
         c.zero_grad();
-        let g3: f32 = c.params_mut()[0].grad.data().iter().sum();
+        let g3: f32 = c.dweight.data().iter().sum();
         assert_eq!(g3, 0.0);
     }
 

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use super::{Layer, ParamRefMut};
+use super::Layer;
 use sefi_rng::DetRng;
 use sefi_tensor::{he_normal, matmul, matmul_a_bt, matmul_at_b, Tensor};
 
@@ -72,11 +72,9 @@ impl Layer for Dense {
         matmul(&dout, &self.weight)
     }
 
-    fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        vec![
-            ParamRefMut { name: "W".into(), value: &mut self.weight, grad: &mut self.dweight },
-            ParamRefMut { name: "b".into(), value: &mut self.bias, grad: &mut self.dbias },
-        ]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor, &'a mut Tensor)) {
+        f("W", &mut self.weight, &mut self.dweight);
+        f("b", &mut self.bias, &mut self.dbias);
     }
 }
 
@@ -114,7 +112,7 @@ mod tests {
             dm.weight.data_mut()[flat] -= eps;
             let num = (dp.forward(x.clone(), true).sum() - dm.forward(x.clone(), true).sum())
                 / (2.0 * eps as f64);
-            let ana = d.params_mut()[0].grad.data()[flat] as f64;
+            let ana = d.dweight.data()[flat] as f64;
             assert!((num - ana).abs() < 1e-2 * (1.0 + ana.abs()), "dW[{flat}] {num} vs {ana}");
         }
         // dx for a sum loss equals column sums of W.

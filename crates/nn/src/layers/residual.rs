@@ -6,8 +6,9 @@
 //! paths look like `res2a/conv1/W`.
 
 use super::activation::{relu_backward, relu_forward};
-use super::{Layer, ParamRefMut, StateRefMut};
+use super::{ChildNames, Layer};
 use sefi_tensor::Tensor;
+use std::sync::Arc;
 
 /// A residual block with a main branch and an optional projection shortcut
 /// (identity when `None`). A final ReLU follows the join.
@@ -17,13 +18,20 @@ pub struct Residual {
     main: Vec<Box<dyn Layer>>,
     shortcut: Vec<Box<dyn Layer>>,
     relu_mask: Vec<bool>,
+    /// The children's tensor names, `conv1/W` and so on.
+    names: Arc<ChildNames>,
 }
 
 impl Residual {
     /// Build from branch layer stacks. An empty `shortcut` means identity.
-    pub fn new(name: &str, main: Vec<Box<dyn Layer>>, shortcut: Vec<Box<dyn Layer>>) -> Self {
+    pub fn new(
+        name: &str,
+        mut main: Vec<Box<dyn Layer>>,
+        mut shortcut: Vec<Box<dyn Layer>>,
+    ) -> Self {
         assert!(!main.is_empty(), "residual main branch cannot be empty");
-        Residual { name: name.to_string(), main, shortcut, relu_mask: Vec::new() }
+        let names = ChildNames::of(main.iter_mut().chain(shortcut.iter_mut()));
+        Residual { name: name.to_string(), main, shortcut, relu_mask: Vec::new(), names }
     }
 }
 
@@ -70,30 +78,13 @@ impl Layer for Residual {
         dm
     }
 
-    fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        let mut out = Vec::new();
-        for layer in self.main.iter_mut().chain(self.shortcut.iter_mut()) {
-            let prefix = layer.layer_name().to_string();
-            for p in layer.params_mut() {
-                out.push(ParamRefMut {
-                    name: format!("{prefix}/{}", p.name),
-                    value: p.value,
-                    grad: p.grad,
-                });
-            }
-        }
-        out
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor, &'a mut Tensor)) {
+        let children = self.main.iter_mut().chain(self.shortcut.iter_mut());
+        self.names.visit_params(children, &mut |name, value, grad| f(name, value, grad));
     }
 
-    fn state_mut(&mut self) -> Vec<StateRefMut<'_>> {
-        let mut out = Vec::new();
-        for layer in self.main.iter_mut().chain(self.shortcut.iter_mut()) {
-            let prefix = layer.layer_name().to_string();
-            for s in layer.state_mut() {
-                out.push(StateRefMut { name: format!("{prefix}/{}", s.name), value: s.value });
-            }
-        }
-        out
+    fn visit_state<'a>(&'a mut self, f: &mut dyn FnMut(&str, &'a mut Tensor)) {
+        self.names.visit_state(self.main.iter_mut().chain(self.shortcut.iter_mut()), f);
     }
 
     fn workspace_bytes(&self) -> usize {
@@ -133,7 +124,7 @@ mod tests {
     fn param_names_are_prefixed() {
         let mut rng = DetRng::new(2);
         let mut r = block(&mut rng);
-        let names: Vec<String> = r.params_mut().into_iter().map(|p| p.name).collect();
+        let (names, _) = crate::layers::tensor_names(&mut r);
         assert_eq!(names, vec!["conv1/W", "conv1/b", "conv2/W", "conv2/b"]);
     }
 
@@ -146,7 +137,7 @@ mod tests {
             vec![Box::new(Conv2d::new("proj", 2, 4, 1, 2, 0, &mut rng))],
         );
         let mut r = r;
-        let names: Vec<String> = r.params_mut().into_iter().map(|p| p.name).collect();
+        let (names, _) = crate::layers::tensor_names(&mut r);
         assert!(names.contains(&"proj/W".to_string()));
         let x = Tensor::full(&[1, 2, 8, 8], 0.3);
         let y = r.forward(x, true);

@@ -26,7 +26,6 @@ mod train;
 pub use guard::{ActivationTrip, EnvelopeSet, LayerEnvelope};
 pub use layers::{
     AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, Layer, MaxPool2d, ParamRefMut, ReLU, Residual,
-    StateRefMut,
 };
 pub use loss::softmax_cross_entropy;
 pub use network::Network;

@@ -1,9 +1,10 @@
 //! Sequential network container.
 
-use crate::layers::{Layer, ParamRefMut};
+use crate::layers::{ChildNames, Layer, ParamRefMut};
 use crate::statedict::StateDict;
 use sefi_tensor::Tensor;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A feed-forward stack of layers (which may themselves be composite, e.g.
 /// [`crate::Residual`]) with qualified parameter naming and state-dict
@@ -14,11 +15,13 @@ use std::collections::HashMap;
 #[derive(Clone)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
+    /// Every tensor's `layer/name` path, lent by the walks.
+    names: Arc<ChildNames>,
 }
 
 impl Network {
     /// Build from a layer stack.
-    pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
+    pub fn new(mut layers: Vec<Box<dyn Layer>>) -> Self {
         let mut names = std::collections::HashSet::new();
         for l in &layers {
             assert!(
@@ -27,7 +30,8 @@ impl Network {
                 l.layer_name()
             );
         }
-        Network { layers }
+        let names = ChildNames::of(layers.iter_mut());
+        Network { layers, names }
     }
 
     /// Layer names in order.
@@ -47,7 +51,14 @@ impl Network {
     /// True per layer iff it owns trainable parameters — the "producer"
     /// layers whose outputs the activation guards reduce.
     pub fn layer_has_params(&mut self) -> Vec<bool> {
-        self.layers.iter_mut().map(|l| !l.params_mut().is_empty()).collect()
+        self.layers
+            .iter_mut()
+            .map(|l| {
+                let mut any = false;
+                l.visit_params(&mut |_, _, _| any = true);
+                any
+            })
+            .collect()
     }
 
     /// Forward through all layers, handing each layer's output to an
@@ -90,17 +101,10 @@ impl Network {
     /// All trainable parameters with fully qualified `layer/param` names,
     /// in deterministic traversal order.
     pub fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        let mut out = Vec::new();
-        for layer in &mut self.layers {
-            let prefix = layer.layer_name().to_string();
-            for p in layer.params_mut() {
-                out.push(ParamRefMut {
-                    name: format!("{prefix}/{}", p.name),
-                    value: p.value,
-                    grad: p.grad,
-                });
-            }
-        }
+        let mut out = Vec::with_capacity(self.names.param_count());
+        self.names.visit_params(self.layers.iter_mut(), &mut |name, value, grad| {
+            out.push(ParamRefMut { name: Arc::clone(name), value, grad })
+        });
         out
     }
 
@@ -111,19 +115,17 @@ impl Network {
 
     /// Lend every parameter and state tensor to `f` in state-dict order
     /// (per layer: parameters, then state), with its qualified
-    /// `layer/name` path and whether it is trainable. Export, import and
-    /// the non-finite scans all walk the network through here, without
-    /// copying a tensor.
+    /// `layer/name` path and whether it is trainable. Export, import,
+    /// restore and the non-finite scans all walk the network through here,
+    /// without copying a tensor or building a path.
     pub fn visit_tensors_mut(&mut self, mut f: impl FnMut(&str, &mut Tensor, bool)) {
-        for layer in &mut self.layers {
-            let prefix = layer.layer_name().to_string();
-            for p in layer.params_mut() {
-                f(&format!("{prefix}/{}", p.name), p.value, true);
-            }
-            for s in layer.state_mut() {
-                f(&format!("{prefix}/{}", s.name), s.value, false);
-            }
-        }
+        self.names.visit_tensors(self.layers.iter_mut(), &mut f);
+    }
+
+    /// Number of parameter and state tensors [`Network::visit_tensors_mut`]
+    /// lends.
+    pub fn num_tensors(&self) -> usize {
+        self.names.len()
     }
 
     /// Export parameters and auxiliary state as a [`StateDict`].
@@ -221,7 +223,7 @@ mod tests {
     #[test]
     fn qualified_param_names() {
         let mut net = tiny_net(1);
-        let names: Vec<String> = net.params_mut().into_iter().map(|p| p.name).collect();
+        let names: Vec<String> = net.params_mut().iter().map(|p| p.name.to_string()).collect();
         assert_eq!(names, vec!["conv1/W", "conv1/b", "fc/W", "fc/b"]);
     }
 

@@ -46,7 +46,7 @@ fn random_corpus(rng: &mut DetRng, batches: usize, batch: usize) -> Vec<Tensor> 
 /// exactly the masking the paper documents, not a guard failure.
 fn flip_a_weight(net: &mut Network, rng: &mut DetRng) {
     let mut params = net.params_mut();
-    let pi = (0..params.len()).position(|i| params[i].name == "conv1/W").unwrap();
+    let pi = (0..params.len()).position(|i| &*params[i].name == "conv1/W").unwrap();
     let w = params[pi].value.data_mut();
     let candidates: Vec<usize> =
         (0..w.len()).filter(|&i| (0.01..1.0).contains(&w[i].abs())).collect();

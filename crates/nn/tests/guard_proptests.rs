@@ -67,7 +67,7 @@ proptest! {
         let env = n.calibrate_envelopes(&batches, slack, "prop", "f32");
         {
             let mut params = n.params_mut();
-            let pi = (0..params.len()).position(|i| params[i].name == "conv1/W").unwrap();
+            let pi = (0..params.len()).position(|i| &*params[i].name == "conv1/W").unwrap();
             let w = params[pi].value.data_mut();
             // Mid-range magnitude: exponent ≤ 126, so the flip explodes.
             let candidates: Vec<usize> =

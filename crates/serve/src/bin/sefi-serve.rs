@@ -105,7 +105,7 @@ fn run() -> Result<(), String> {
 
     // Mint the checkpoint this server serves.
     let (mut net, _) = build(cfg.model, cfg.model_config, &mut DetRng::new(0xC0DE_5EED));
-    let first_param = net.params_mut()[0].name.clone();
+    let first_param = net.params_mut()[0].name.to_string();
     let file = save_checkpoint(cfg.fw, &mut net, 1, cfg.dtype);
     let clean_bytes = file.to_bytes_v2();
     let sidecar = EccSidecar::protect(&clean_bytes).map_err(|e| format!("sidecar: {e}"))?;

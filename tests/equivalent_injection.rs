@@ -107,3 +107,64 @@ fn replay_counts_match_even_with_repeated_locations() {
     assert_eq!(report.injections, 100);
     assert!(report.records.iter().all(|r| r.location == "predictor/conv1/W"));
 }
+
+#[test]
+fn full_range_logs_replay_whole_including_the_epoch_counter() {
+    // A 1000-flip full-range run hits every dataset of the file, integer
+    // epoch counter included; its log must replay onto a pristine clone in
+    // every framework, each integer flip through the corrupter's bin() step.
+    let d = data();
+    for fw in FrameworkKind::all() {
+        let mut cfg = SessionConfig::new(fw, ModelKind::AlexNet, 42);
+        cfg.model_config = ModelConfig { scale: 0.05, input_size: 16, num_classes: 10 };
+        cfg.train.batch_size = 16;
+        let mut s = Session::new(cfg);
+        s.train_to(&d, 1);
+        let pristine = s.checkpoint(Dtype::F64);
+        let mut corrupted = pristine.clone();
+        let cfg = CorrupterConfig::bit_flips_full_range(1000, Precision::Fp64, 2021);
+        let (report, log) = Corrupter::new(cfg).unwrap().corrupt_with_log(&mut corrupted).unwrap();
+        let epoch_flips = report.records.iter().filter(|r| r.location == fw.epoch_path()).count();
+        assert!(epoch_flips > 0, "{fw:?}: the log must exercise the integer target");
+
+        let mut replayed = pristine.clone();
+        let replay = log.replay(&mut replayed, 7).unwrap_or_else(|e| panic!("{fw:?}: {e}"));
+        assert_eq!(replay.injections, 1000);
+        for (orig, again) in log.records().iter().zip(&replay.records) {
+            assert_eq!(orig.location, again.location);
+            assert_eq!(orig.change, again.change, "same action, same order");
+        }
+        // A scalar counter has one entry, so its flips replay exactly.
+        let epoch = |f: &sefi_hdf5::H5File| f.dataset(fw.epoch_path()).unwrap().get_i64(0).unwrap();
+        assert_eq!(epoch(&replayed), epoch(&corrupted), "{fw:?}");
+    }
+}
+
+#[test]
+fn a_logged_bit_beyond_an_integer_width_stays_a_loud_error() {
+    let mut s = session(FrameworkKind::Chainer);
+    let mut ck = s.checkpoint(Dtype::F64);
+    let epoch_path = FrameworkKind::Chainer.epoch_path();
+    ck.dataset_mut(epoch_path).unwrap().set_i64(0, 5).unwrap(); // 0b101: 3 bits wide
+    let mut log = sefi_core::InjectionLog::new();
+    log.push(sefi_core::LogRecord {
+        order: 0,
+        location: epoch_path.to_string(),
+        change: ValueChange::BitFlip { bit: 3 },
+        entry_index: 0,
+    });
+    let before = ck.clone();
+    let err = log.replay(&mut ck, 0).unwrap_err();
+    assert!(err.to_string().contains("3-bit"), "{err}");
+    assert_eq!(ck, before, "a refused flip writes nothing");
+    // Inside the width, the same record replays as a bin() flip: 5 ^ 0b100.
+    log = sefi_core::InjectionLog::new();
+    log.push(sefi_core::LogRecord {
+        order: 0,
+        location: epoch_path.to_string(),
+        change: ValueChange::BitFlip { bit: 2 },
+        entry_index: 0,
+    });
+    log.replay(&mut ck, 0).unwrap();
+    assert_eq!(ck.dataset(epoch_path).unwrap().get_i64(0).unwrap(), 1);
+}
